@@ -49,7 +49,6 @@ from .sim import (
     billing_cycles_charged,
     run_simulation,
     service_time,
-    utilization,
 )
 from .workload import (
     RateProfile,
@@ -107,7 +106,6 @@ __all__ = [
     "select_action",
     "serialize_trace",
     "service_time",
-    "utilization",
     "vm_vote",
     "vote_decision",
 ]

@@ -101,7 +101,6 @@ class VmInstance:
         "current_finish",
         "exec_start",
         "busy_in_window",
-        "busy_log",
         "charged_cycles",
     )
 
@@ -117,7 +116,6 @@ class VmInstance:
         self.current_finish = 0.0
         self.exec_start = 0.0
         self.busy_in_window = 0.0
-        self.busy_log: list[tuple[float, float]] | None = None
         self.charged_cycles = 0
 
     def outstanding(self) -> int:
@@ -177,26 +175,6 @@ def _charge_end(vm: VmInstance, billing_cycle: float) -> float:
     return vm.anchor + cycles * billing_cycle
 
 
-def utilization(vm: VmInstance, window_start: float, window_end: float) -> float:
-    """Busy time within the window over the portion of it the VM was ready.
-
-    Uses the VM's completed-execution log; an execution still in flight at
-    the query time is not counted.
-    """
-    if window_end <= window_start:
-        raise ValueError("window_end must exceed window_start")
-    ready_span = window_end - max(window_start, vm.ready_at)
-    if ready_span <= 0 or vm.busy_log is None:
-        return 0.0
-    busy = 0.0
-    for start, end in vm.busy_log:
-        lo = max(start, window_start, vm.ready_at)
-        hi = min(end, window_end)
-        if hi > lo:
-            busy += hi - lo
-    return min(1.0, max(0.0, busy / ready_span))
-
-
 def select_release_victim(cluster: "Cluster", now: float) -> int | None:
     """Pick the VM to release, or None when only one VM would remain.
 
@@ -221,17 +199,21 @@ class Cluster:
     ``mutate_requests`` controls whether request start/finish timestamps are
     written back into the Request objects; replays leave them untouched so
     the primary run's trace is never perturbed.
+
+    ``active`` is kept in ascending id order: ``launch_vm`` adds ids in
+    increasing order, ``release_vm`` only deletes and ``Checkpoint.replay``
+    inserts in id order.  Heap entries are ``(time, prio, tiebreak_id, vm)``;
+    the first three are unique, so VMs are never compared.
     """
 
-    def __init__(self, config: SimConfig, mutate_requests: bool = True, keep_busy_log: bool = True):
+    def __init__(self, config: SimConfig, mutate_requests: bool = True):
         self.config = config
         self.mutate_requests = mutate_requests
-        self.keep_busy_log = keep_busy_log
         self.active: dict[int, VmInstance] = {}
         self.retired: dict[int, VmInstance] = {}
         self.next_vm_id = 0
         self.backlog: deque[Request] = deque()
-        self.heap: list[tuple[float, int, int, int]] = []
+        self.heap: list[tuple[float, int, int, VmInstance]] = []
         self.now = 0.0
         self.window_mark = 0.0
         self.submitted = 0
@@ -250,11 +232,9 @@ class Cluster:
             ready = now + self.config.spin_up
             anchor = now if self.config.billing_anchor == "at_request" else ready
             vm = VmInstance(vm_id, self.config.vm_capacity, now, ready, anchor)
-            heappush(self.heap, (ready, _PRIO_READY, vm_id, vm_id))
-        if self.keep_busy_log:
-            vm.busy_log = []
+            heappush(self.heap, (ready, _PRIO_READY, vm_id, vm))
         self.active[vm_id] = vm
-        heappush(self.heap, (vm.anchor + self.config.billing_cycle, _PRIO_CYCLE, vm_id, vm_id))
+        heappush(self.heap, (vm.anchor + self.config.billing_cycle, _PRIO_CYCLE, vm_id, vm))
         return vm_id
 
     def release_vm(self, vm_id: int, now: float) -> None:
@@ -266,12 +246,6 @@ class Cluster:
         vm.released_at = now
         del self.active[vm_id]
         self.retired[vm_id] = vm
-
-    def vm(self, vm_id: int) -> VmInstance:
-        vm = self.active.get(vm_id)
-        if vm is None:
-            vm = self.retired[vm_id]
-        return vm
 
     def all_vms(self) -> list[VmInstance]:
         vms = list(self.active.values()) + list(self.retired.values())
@@ -289,13 +263,24 @@ class Cluster:
     # -- request flow ------------------------------------------------------
 
     def dispatch(self, req: Request, now: float) -> int | None:
-        """Assign the request to the least-loaded live VM (lowest id on ties)."""
+        """Assign the request to the live VM with the fewest outstanding
+        requests, lowest id on ties.
+
+        Live VMs include those still spinning up: an arrival can be parked on
+        a pending VM with an empty queue and waits there until it is ready.
+        The scan relies on ``active`` being in ascending id order: it stops at
+        the first VM with nothing outstanding, and only a strictly smaller
+        load replaces the best so far.
+        """
         best = None
-        best_key = None
+        best_load = 0
         for vm in self.active.values():
-            key = (vm.outstanding(), vm.id)
-            if best_key is None or key < best_key:
-                best, best_key = vm, key
+            load = len(vm.queue) if vm.current is None else len(vm.queue) + 1
+            if load == 0:
+                best = vm
+                break
+            if best is None or load < best_load:
+                best, best_load = vm, load
         if best is None:
             self.backlog.append(req)
             return None
@@ -312,7 +297,7 @@ class Cluster:
         vm.current_finish = finish
         if self.mutate_requests:
             req.start_time = now
-        heappush(self.heap, (finish, _PRIO_DONE, req.id, vm.id))
+        heappush(self.heap, (finish, _PRIO_DONE, req.id, vm))
 
     def _drain_backlog(self, now: float) -> None:
         while self.backlog and self.active:
@@ -330,8 +315,6 @@ class Cluster:
         else:
             self.failures += 1
         vm.busy_in_window += now - max(vm.exec_start, self.window_mark)
-        if vm.busy_log is not None:
-            vm.busy_log.append((vm.exec_start, now))
         vm.current = None
         if vm.queue:
             self._start_exec(vm, vm.queue.popleft(), now)
@@ -348,7 +331,7 @@ class Cluster:
         if now > _charge_end(vm, self.config.billing_cycle) + _EPS:
             return
         vm.charged_cycles += 1
-        heappush(self.heap, (now + self.config.billing_cycle, _PRIO_CYCLE, vm.id, vm.id))
+        heappush(self.heap, (now + self.config.billing_cycle, _PRIO_CYCLE, vm.id, vm))
 
     # -- main loop ---------------------------------------------------------
 
@@ -357,12 +340,16 @@ class Cluster:
         index of the first unconsumed arrival."""
         heap = self.heap
         n = len(arrivals)
+        at = arrivals[idx].arrival_time if idx < n else _INF
         while True:
-            at = arrivals[idx].arrival_time if idx < n else _INF
-            ht = heap[0][0] if heap else _INF
-            if at == _INF and ht == _INF:
+            if heap:
+                top = heap[0]
+                ht = top[0]
+                take_heap = ht < at or (ht == at and top[1] < _PRIO_ARRIVAL)
+            elif at == _INF:
                 break
-            take_heap = ht < at or (ht == at and heap[0][1] < _PRIO_ARRIVAL)
+            else:
+                take_heap = False
             t = ht if take_heap else at
             if t > until:
                 break
@@ -370,8 +357,7 @@ class Cluster:
                 raise RuntimeError(f"event time {t} precedes clock {self.now}")
             self.now = t
             if take_heap:
-                _, prio, _, vm_id = heappop(heap)
-                vm = self.vm(vm_id)
+                _, prio, _, vm = heappop(heap)
                 if prio == _PRIO_DONE:
                     self._on_done(vm, t)
                 elif prio == _PRIO_READY:
@@ -381,6 +367,7 @@ class Cluster:
             else:
                 req = arrivals[idx]
                 idx += 1
+                at = arrivals[idx].arrival_time if idx < n else _INF
                 self.submitted += 1
                 self.dispatch(req, t)
         self.now = max(self.now, until)
@@ -448,7 +435,7 @@ class Checkpoint:
 
     def replay(self, action: Action, window: float) -> UtilityBreakdown:
         cfg = self.config
-        cluster = Cluster(cfg, mutate_requests=False, keep_busy_log=False)
+        cluster = Cluster(cfg, mutate_requests=False)
         cluster.now = self.time
         cluster.window_mark = self.time
         cluster.next_vm_id = self.next_vm_id
@@ -466,15 +453,15 @@ class Checkpoint:
                 cluster.retired[snap.id] = vm
             if vm.current is not None:
                 vm.exec_start = self.time  # only the remaining service matters
-                heappush(cluster.heap, (vm.current_finish, _PRIO_DONE, vm.current.id, vm.id))
+                heappush(cluster.heap, (vm.current_finish, _PRIO_DONE, vm.current.id, vm))
             if vm.ready_at > self.time:
-                heappush(cluster.heap, (vm.ready_at, _PRIO_READY, vm.id, vm.id))
+                heappush(cluster.heap, (vm.ready_at, _PRIO_READY, vm.id, vm))
             # next boundary strictly after the checkpoint; earlier ones are
             # already charged to previous windows
             k = max(1, math.floor((self.time - vm.anchor) / cycle + _EPS) + 1)
             boundary = vm.anchor + k * cycle
             if boundary <= _charge_end(vm, cycle) + _EPS:
-                heappush(cluster.heap, (boundary, _PRIO_CYCLE, vm.id, vm.id))
+                heappush(cluster.heap, (boundary, _PRIO_CYCLE, vm.id, vm))
 
         if action is Action.LAUNCH:
             cluster.launch_vm(self.time)
@@ -528,7 +515,7 @@ class _Pending:
     state: StateKey
     action: Action
     candidates: tuple[Action, ...]
-    checkpoint: Checkpoint
+    checkpoint: Checkpoint | None  # None when debts are not recorded
     live_vms_before: int
 
 
@@ -538,7 +525,7 @@ class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self.cluster = Cluster(config, mutate_requests=True, keep_busy_log=True)
+        self.cluster = Cluster(config, mutate_requests=True)
         self._ran = False
         for _ in range(config.initial_vms):
             self.cluster.launch_vm(0.0, initial=True)
@@ -606,7 +593,7 @@ class Simulation:
                     raise TypeError(f"policy returned {action!r}, not an Action")
                 if action not in candidates:
                     raise ValueError(f"policy chose {action} outside its candidate set")
-                checkpoint = Checkpoint(cfg, t, cluster, requests, idx)
+                checkpoint = Checkpoint(cfg, t, cluster, requests, idx) if record_debt else None
                 live_before = len(cluster.active)
                 self._apply(action, t)
                 pending = _Pending(

@@ -5,6 +5,7 @@ import pytest
 from conftest import FixedPolicy, make_trace
 from elastidebt.policies import Action
 from elastidebt.sim import (
+    Checkpoint,
     Cluster,
     SimConfig,
     Simulation,
@@ -13,7 +14,6 @@ from elastidebt.sim import (
     run_simulation,
     select_release_victim,
     service_time,
-    utilization,
 )
 from elastidebt.workload import Request
 
@@ -55,6 +55,62 @@ def test_dispatch_tie_breaks_on_lowest_id():
         vm.queue.append(Request(60 + vm.id, 0.0, 2.0))
     chosen = cluster.dispatch(Request(0, 0.0, 2.0), 0.0)
     assert chosen == 0
+
+
+def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
+    cluster = Cluster(SimConfig())
+    cluster.launch_vm(0.0, initial=True)
+    cluster.launch_vm(0.0, initial=True)
+    cluster.active[0].current = Request(100, 0.0, 2.0)
+    assert cluster.dispatch(Request(0, 0.0, 2.0), 0.0) == 1
+
+
+def test_active_stays_in_id_order_after_release_and_launch():
+    cluster = Cluster(SimConfig())
+    for _ in range(3):
+        cluster.launch_vm(0.0, initial=True)
+    cluster.release_vm(1, 10.0)
+    new = cluster.launch_vm(10.0, initial=True)
+    assert new == 3
+    assert list(cluster.active) == [0, 2, 3]
+    # vm0 is busy; vm2 and vm3 tie at zero outstanding and the lower id wins
+    cluster.active[0].current = Request(100, 10.0, 2.0)
+    assert cluster.dispatch(Request(0, 10.0, 2.0), 10.0) == 2
+
+
+def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
+    # least-outstanding dispatch counts VMs still spinning up: an empty
+    # pending VM beats ready VMs that each have work outstanding
+    cluster = Cluster(SimConfig())
+    for vm_id in (cluster.launch_vm(0.0, initial=True), cluster.launch_vm(0.0, initial=True)):
+        cluster.active[vm_id].current = Request(100 + vm_id, 0.0, 2.0)
+    pending = cluster.launch_vm(0.0)
+    req = Request(0, 10.0, 2.0)
+    assert cluster.dispatch(req, 10.0) == pending
+    assert list(cluster.active[pending].queue) == [req]
+    assert cluster.active[pending].current is None
+
+
+def test_replay_cluster_keeps_active_in_id_order(monkeypatch):
+    cfg = SimConfig()
+    cluster = Cluster(cfg)
+    for _ in range(4):
+        cluster.launch_vm(0.0, initial=True)
+    cluster.release_vm(1, 0.0)
+    cluster.launch_vm(0.0)
+    cluster.advance(120.0, [], 0)
+    seen = []
+    original = Cluster.advance
+
+    def recording(self, until, arrivals, idx):
+        seen.append(list(self.active))
+        return original(self, until, arrivals, idx)
+
+    monkeypatch.setattr(Cluster, "advance", recording)
+    checkpoint = Checkpoint(cfg, 120.0, cluster, [], 0)
+    checkpoint.replay(Action.MAINTAIN, 60.0)
+    checkpoint.replay(Action.LAUNCH, 60.0)
+    assert seen == [[0, 2, 3, 4], [0, 2, 3, 4, 5]]
 
 
 def test_request_on_pending_vm_waits_for_ready():
@@ -161,30 +217,47 @@ def test_billing_never_precedes_anchor():
 # -- utilization -------------------------------------------------------------
 
 
+def observed_utilization(arrivals, window_end, cfg=None, launch_at=None):
+    """Per-VM utilization the observation reports for the window [0, window_end].
+
+    ``arrivals`` are (time, work) pairs; ``launch_at`` launches one VM that
+    spins up for ``cfg.spin_up`` seconds.  Work still in flight at the window
+    end counts for its elapsed part, as at a decision point.
+    """
+    sim = Simulation(cfg or SimConfig(initial_vms=1))
+    if launch_at is not None:
+        sim.cluster.launch_vm(launch_at)
+    requests = make_trace(arrivals).requests
+    sim.cluster.advance(window_end, requests, 0)
+    sim._flush_busy(window_end)
+    return sim._observe(window_end, 0.0, 0, 0).per_vm_utilization
+
+
 def test_utilization_idle_and_busy_window():
-    vm = make_vm()
-    vm.busy_log = []
-    assert utilization(vm, 0.0, 1.0) == 0.0
-    vm.busy_log.append((0.0, 1.0))
-    assert utilization(vm, 0.0, 1.0) == 1.0
+    assert observed_utilization([], 1.0) == [0.0]
+    # 10 MI on a 10 MIPS VM: busy for the whole 1 s window
+    assert observed_utilization([(0.0, 10.0)], 1.0) == [1.0]
+    # still executing at the window end: the elapsed part counts
+    assert observed_utilization([(0.0, 20.0)], 1.0) == [1.0]
 
 
 def test_utilization_fractional():
-    vm = make_vm()
-    vm.busy_log = [(0.3, 0.5)]  # one 0.2 s execution inside a 1 s window
-    assert utilization(vm, 0.0, 1.0) == pytest.approx(0.2)
+    # one 0.2 s execution inside a 1 s window
+    assert observed_utilization([(0.3, 2.0)], 1.0) == [pytest.approx(0.2)]
 
 
 def test_utilization_counts_only_ready_portion():
-    vm = make_vm(ready=0.5)
-    vm.busy_log = [(0.5, 0.75)]
-    # ready for half the window, busy half of that
-    assert utilization(vm, 0.0, 1.0) == pytest.approx(0.5)
+    # vm0 is busy all window; vm1 is ready at 0.5 and runs the request
+    # parked on it at 0.1 from 0.5 to 0.75: busy half of its ready half
+    cfg = SimConfig(initial_vms=1, spin_up=0.5)
+    utils = observed_utilization([(0.0, 20.0), (0.1, 2.5)], 1.0, cfg, launch_at=0.0)
+    assert utils == [1.0, pytest.approx(0.5)]
 
 
-def test_utilization_rejects_empty_window():
-    with pytest.raises(ValueError):
-        utilization(make_vm(), 1.0, 1.0)
+def test_utilization_zero_ready_span_reads_zero():
+    # a VM that turns ready exactly at the window end has no ready span
+    cfg = SimConfig(initial_vms=1, spin_up=1.0)
+    assert observed_utilization([], 1.0, cfg, launch_at=0.0) == [0.0, 0.0]
 
 
 # -- full runs ---------------------------------------------------------------
@@ -314,13 +387,47 @@ def test_billed_cycles_cover_busy_span():
     cfg = SimConfig()
     trace = generate_trace(default_profile(), 1500.0, seed=2)
     sim = Simulation(cfg)
+    spans: dict[int, list[float]] = {}  # vm id -> [first start, last finish]
+    on_done = sim.cluster._on_done
+
+    def recording(vm, now):
+        span = spans.setdefault(vm.id, [vm.exec_start, now])
+        span[1] = now
+        on_done(vm, now)
+
+    sim.cluster._on_done = recording
     sim.run(trace, FixedPolicy(Action.MAINTAIN), 1500.0)
-    for vm in sim.cluster.all_vms():
-        if not vm.busy_log:
-            continue
-        busy_span = vm.busy_log[-1][1] - vm.busy_log[0][0]
+    vms = {vm.id: vm for vm in sim.cluster.all_vms()}
+    assert len(spans) == len(vms) == cfg.initial_vms
+    for vm_id, (first_start, last_finish) in spans.items():
+        vm = vms[vm_id]
+        busy_span = last_finish - first_start
         assert vm.charged_cycles >= math.ceil(busy_span / cfg.billing_cycle - 1e-9)
-        assert vm.busy_log[0][0] >= vm.anchor
+        assert first_start >= vm.anchor
+
+
+def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
+    from elastidebt.workload import default_profile, generate_trace
+
+    trace = generate_trace(default_profile(), 1200.0, seed=5)
+    policy = FixedPolicy(Action.LAUNCH)
+    recorded = run_simulation(SimConfig(), trace, policy, 1200.0)
+    built = []
+    original = Checkpoint.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[1])
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Checkpoint, "__init__", counting)
+    unrecorded = run_simulation(SimConfig(), trace, policy, 1200.0, record_debt=False)
+    assert built == []
+    assert len(unrecorded.records) == len(recorded.records) > 0
+
+    def primary(windows):
+        return [(w.start, w.end, w.submitted, w.breakdown, w.ready_vms, w.live_vms) for w in windows]
+
+    assert primary(unrecorded.windows) == primary(recorded.windows)
 
 
 def test_window_sequence_partitions_run(maintain_policy):
