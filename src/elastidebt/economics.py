@@ -108,17 +108,25 @@ def counterfactual_ideal(
     checkpoint,
     candidate_actions: tuple[Action, ...],
     window: float,
+    measured: dict[Action, float] | None = None,
 ) -> tuple[float, dict[Action, float]]:
     """Replay the window once per candidate action and return the best utility.
 
     ``checkpoint`` must expose ``replay(action, window) -> UtilityBreakdown``
     over a private clone of the simulator state, so the primary run is never
-    perturbed.
+    perturbed.  Candidates whose window utility is already ``measured``
+    (the action the primary run took, over the window it just ran) take
+    that value and are not replayed.
     """
     if not candidate_actions:
         raise ValueError("candidate action set is empty")
+    measured = measured or {}
     per_action: dict[Action, float] = {}
     for action in ACTION_ORDER:
-        if action in candidate_actions:
+        if action not in candidate_actions:
+            continue
+        if action in measured:
+            per_action[action] = measured[action]
+        else:
             per_action[action] = checkpoint.replay(action, window).utility
     return max(per_action.values()), per_action

@@ -15,7 +15,15 @@ from dataclasses import dataclass, field, replace
 
 from .policies import DebtAwarePolicy, LearningParams, QTable, VotingParams, VotingPolicy
 from .sim import SimConfig, SimulationResult, run_simulation
-from .workload import RateProfile, WorkloadTrace, default_profile, generate_trace, load_profile, parse_trace
+from .workload import (
+    RateProfile,
+    Request,
+    WorkloadTrace,
+    default_profile,
+    generate_trace,
+    load_profile,
+    parse_trace,
+)
 
 
 class ConfigError(ValueError):
@@ -204,7 +212,13 @@ def build_policy(config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig, record_debt: bool = True) -> ExperimentReport:
     """Run one fully seeded experiment and assemble its report."""
     config.validate()
-    workload = build_workload(config)
+    return _run_on(config, build_workload(config), record_debt)
+
+
+def _run_on(
+    config: ExperimentConfig, workload: WorkloadTrace, record_debt: bool = True
+) -> ExperimentReport:
+    """Run a validated config over an already built workload."""
     policy = build_policy(config)
 
     started = time.perf_counter()
@@ -466,10 +480,22 @@ def compare_dirs(dir_a: str, dir_b: str) -> ComparisonSummary:
 def paired_experiment(
     base: ExperimentConfig, seed: int
 ) -> tuple[ExperimentReport, ExperimentReport]:
-    """Run debt-aware and voting on the identical workload for one seed."""
+    """Run debt-aware and voting on the identical workload for one seed.
+
+    The workload is built once; each run gets its own Request objects,
+    because the primary run writes start and finish times into them.
+    """
     debt_cfg = replace(base, policy="debt-aware", seed=seed)
     vote_cfg = replace(base, policy="voting", seed=seed)
-    return run_experiment(debt_cfg), run_experiment(vote_cfg)
+    debt_cfg.validate()
+    vote_cfg.validate()
+    workload = build_workload(debt_cfg)
+    debt = _run_on(debt_cfg, workload)
+    fresh = WorkloadTrace(
+        requests=[Request(r.id, r.arrival_time, r.work) for r in workload.requests],
+        duration=workload.duration,
+    )
+    return debt, _run_on(vote_cfg, fresh)
 
 
 def default_config(seed: int = 0, horizon: float = 21600.0) -> ExperimentConfig:

@@ -1,4 +1,4 @@
-"""Deterministic discrete-event simulation of an elastic VM cluster.
+"""Deterministic simulation of an elastic VM cluster.
 
 The engine models VM spin-up, per-cycle billing, least-loaded dispatch with
 per-VM FIFO processing, and periodic decision points where a policy observes
@@ -6,9 +6,13 @@ the cluster and launches, releases or maintains capacity.  Checkpoints taken
 at decision points can be replayed under alternative actions without
 touching the primary run, which is how adaptation debts are valued.
 
-Event ordering at equal timestamps is fixed: request completions, then VM
-ready transitions, then arrivals, then billing-cycle boundaries, then
-decision points; remaining ties break on request/VM id.
+A VM serves its requests in FIFO order at a fixed speed and never preempts,
+so each request's start and finish are fixed when it is dispatched; nothing
+is queued per request.  Ordering at equal timestamps is fixed: a request
+that finishes at time <= t has left its VM before an arrival at t is
+dispatched, a VM that turns ready at t serves an arrival at t at once, and
+a decision point at t sees every arrival, completion and billing boundary
+at or before t.  Remaining ties break on VM id.
 """
 
 from __future__ import annotations
@@ -16,20 +20,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from heapq import heappop, heappush
 
 from . import economics
 from .economics import AdaptationRecord, UtilityBreakdown, compute_utility, penalized_failures
 from .policies import ACTION_ORDER, Action, StateKey, discretize_state
 from .workload import Request, WorkloadTrace
-
-# event priorities at equal timestamps (decision points are handled outside
-# the heap and implicitly carry the highest value)
-_PRIO_DONE = 0
-_PRIO_READY = 1
-_PRIO_ARRIVAL = 2
-_PRIO_CYCLE = 3
-_PRIO_DECISION = 4
 
 _EPS = 1e-9
 _INF = float("inf")
@@ -87,7 +82,16 @@ class SimConfig:
 
 
 class VmInstance:
-    """One virtual machine: capacity, lifecycle timestamps, FIFO queue."""
+    """One virtual machine: capacity, lifecycle timestamps and FIFO schedule.
+
+    ``jobs`` holds ``(start, finish, ok)`` for every request assigned to the
+    VM whose completion the cluster has not counted yet, in FIFO order;
+    ``ok`` says whether the response beats the SLA.  ``last_finish`` is the
+    finish of the last request ever assigned (0.0 before any).  Once the
+    cluster is settled at time t, ``jobs`` holds exactly the requests still
+    outstanding at t, and a ready VM is executing the first of them.
+    ``next_cycle`` is the next billing boundary to charge (inf when none is).
+    """
 
     __slots__ = (
         "id",
@@ -96,10 +100,9 @@ class VmInstance:
         "ready_at",
         "released_at",
         "anchor",
-        "queue",
-        "current",
-        "current_finish",
-        "exec_start",
+        "jobs",
+        "last_finish",
+        "next_cycle",
         "busy_in_window",
         "charged_cycles",
     )
@@ -111,22 +114,26 @@ class VmInstance:
         self.ready_at = ready_at
         self.released_at: float | None = None
         self.anchor = anchor
-        self.queue: deque[Request] = deque()
-        self.current: Request | None = None
-        self.current_finish = 0.0
-        self.exec_start = 0.0
+        self.jobs: deque[tuple[float, float, bool]] = deque()
+        self.last_finish = 0.0
+        self.next_cycle = _INF
         self.busy_in_window = 0.0
         self.charged_cycles = 0
 
     def outstanding(self) -> int:
-        return len(self.queue) + (1 if self.current is not None else 0)
+        return len(self.jobs)
 
     def is_idle(self) -> bool:
-        return self.current is None and not self.queue
+        return not self.jobs
 
-    @property
-    def busy_until(self) -> float:
-        return self.current_finish if self.current is not None else 0.0
+    def clone(self) -> VmInstance:
+        """Same lifecycle, schedule and next boundary; counters start at zero."""
+        vm = VmInstance(self.id, self.capacity, self.requested_at, self.ready_at, self.anchor)
+        vm.released_at = self.released_at
+        vm.jobs = deque(self.jobs)
+        vm.last_finish = self.last_finish
+        vm.next_cycle = self.next_cycle
+        return vm
 
 
 @dataclass
@@ -194,16 +201,22 @@ def select_release_victim(cluster: "Cluster", now: float) -> int | None:
 
 
 class Cluster:
-    """Event-driven cluster state shared by the primary run and replays.
+    """Cluster state shared by the primary run and replays.
 
-    ``mutate_requests`` controls whether request start/finish timestamps are
-    written back into the Request objects; replays leave them untouched so
-    the primary run's trace is never perturbed.
+    ``dispatch`` schedules each arrival on its VM when it arrives, and
+    ``advance`` settles every VM at the time it advances to: it counts the
+    requests finished by then and charges the billing boundaries passed.
+    Counters, ``outstanding_requests`` and each VM's ``jobs`` therefore
+    describe the cluster at that time once ``advance`` returns.
+
+    ``mutate_requests`` controls whether each request's scheduled start and
+    finish are written into the Request object at dispatch; replays leave
+    them untouched so the primary run's trace is never perturbed.
 
     ``active`` is kept in ascending id order: ``launch_vm`` adds ids in
     increasing order, ``release_vm`` only deletes and ``Checkpoint.replay``
-    inserts in id order.  Heap entries are ``(time, prio, tiebreak_id, vm)``;
-    the first three are unique, so VMs are never compared.
+    inserts in id order.  It is never empty once a VM is launched, because
+    ``release_vm`` refuses to release the last active VM.
     """
 
     def __init__(self, config: SimConfig, mutate_requests: bool = True):
@@ -212,13 +225,11 @@ class Cluster:
         self.active: dict[int, VmInstance] = {}
         self.retired: dict[int, VmInstance] = {}
         self.next_vm_id = 0
-        self.backlog: deque[Request] = deque()
-        self.heap: list[tuple[float, int, int, VmInstance]] = []
-        self.now = 0.0
         self.window_mark = 0.0
         self.submitted = 0
         self.successes = 0
         self.failures = 0
+        self._sla_limit = config.sla_response_limit - _EPS
 
     # -- provisioning ------------------------------------------------------
 
@@ -232,17 +243,19 @@ class Cluster:
             ready = now + self.config.spin_up
             anchor = now if self.config.billing_anchor == "at_request" else ready
             vm = VmInstance(vm_id, self.config.vm_capacity, now, ready, anchor)
-            heappush(self.heap, (ready, _PRIO_READY, vm_id, vm))
+        vm.next_cycle = vm.anchor + self.config.billing_cycle
         self.active[vm_id] = vm
-        heappush(self.heap, (vm.anchor + self.config.billing_cycle, _PRIO_CYCLE, vm_id, vm))
         return vm_id
 
     def release_vm(self, vm_id: int, now: float) -> None:
+        """Stop dispatching to the VM; it still finishes the work it holds."""
         vm = self.active.get(vm_id)
         if vm is None:
             if vm_id in self.retired:
                 raise ValueError(f"vm {vm_id} is already released")
             raise ValueError(f"unknown vm {vm_id}")
+        if len(self.active) == 1:
+            raise ValueError(f"vm {vm_id} is the last active VM; arrivals would have nowhere to go")
         vm.released_at = now
         del self.active[vm_id]
         self.retired[vm_id] = vm
@@ -253,152 +266,83 @@ class Cluster:
         return vms
 
     def outstanding_requests(self) -> int:
-        total = len(self.backlog)
-        for vm in self.active.values():
-            total += vm.outstanding()
-        for vm in self.retired.values():
-            total += vm.outstanding()
-        return total
+        return sum(len(vm.jobs) for vms in (self.active, self.retired) for vm in vms.values())
 
     # -- request flow ------------------------------------------------------
 
-    def dispatch(self, req: Request, now: float) -> int | None:
-        """Assign the request to the live VM with the fewest outstanding
-        requests, lowest id on ties.
+    def dispatch(self, req: Request, now: float) -> int:
+        """Schedule the request on the live VM with the fewest outstanding
+        requests, lowest id on ties, and return that VM's id.
 
         Live VMs include those still spinning up: an arrival can be parked on
-        a pending VM with an empty queue and waits there until it is ready.
-        The scan relies on ``active`` being in ascending id order: it stops at
-        the first VM with nothing outstanding, and only a strictly smaller
-        load replaces the best so far.
+        a pending VM with nothing outstanding and starts when it is ready.
+        A VM has nothing outstanding exactly when its last finish is <= now,
+        so the scan stops at the first such VM (``active`` is in ascending id
+        order).  Only when every VM is busy are their finished requests
+        settled to count the loads.  The request starts at the latest of its
+        arrival, the VM's ready time and the VM's last finish.
         """
-        best = None
-        best_load = 0
         for vm in self.active.values():
-            load = len(vm.queue) if vm.current is None else len(vm.queue) + 1
-            if load == 0:
-                best = vm
+            if vm.last_finish <= now:
+                start = now if vm.ready_at <= now else vm.ready_at
                 break
-            if best is None or load < best_load:
-                best, best_load = vm, load
-        if best is None:
-            self.backlog.append(req)
-            return None
-        if best.current is None and best.ready_at <= now:
-            self._start_exec(best, req, now)
         else:
-            best.queue.append(req)
-        return best.id
-
-    def _start_exec(self, vm: VmInstance, req: Request, now: float) -> None:
-        vm.current = req
-        vm.exec_start = now
-        finish = now + req.work / vm.capacity
-        vm.current_finish = finish
+            vm = None
+            load = 0
+            for cand in self.active.values():
+                jobs = cand.jobs
+                if jobs[0][1] <= now:
+                    self._settle_vm(cand, now)
+                if vm is None or len(jobs) < load:
+                    vm, load = cand, len(jobs)
+            # a busy VM's last finish is after now and after it turned ready
+            start = vm.last_finish
+        finish = start + req.work / vm.capacity
+        vm.jobs.append((start, finish, finish - req.arrival_time < self._sla_limit))
+        vm.last_finish = finish
         if self.mutate_requests:
-            req.start_time = now
-        heappush(self.heap, (finish, _PRIO_DONE, req.id, vm))
+            req.start_time = start
+            req.finish_time = finish
+        return vm.id
 
-    def _drain_backlog(self, now: float) -> None:
-        while self.backlog and self.active:
-            self.dispatch(self.backlog.popleft(), now)
-
-    # -- event handlers ----------------------------------------------------
-
-    def _on_done(self, vm: VmInstance, now: float) -> None:
-        req = vm.current
-        assert req is not None
-        if self.mutate_requests:
-            req.finish_time = now
-        if now - req.arrival_time < self.config.sla_response_limit - _EPS:
-            self.successes += 1
-        else:
-            self.failures += 1
-        vm.busy_in_window += now - max(vm.exec_start, self.window_mark)
-        vm.current = None
-        if vm.queue:
-            self._start_exec(vm, vm.queue.popleft(), now)
-        elif vm.released_at is None and self.backlog:
-            self._drain_backlog(now)
-
-    def _on_ready(self, vm: VmInstance, now: float) -> None:
-        if vm.current is None and vm.queue:
-            self._start_exec(vm, vm.queue.popleft(), now)
-        if vm.released_at is None and self.backlog:
-            self._drain_backlog(now)
-
-    def _on_cycle(self, vm: VmInstance, now: float) -> None:
-        if now > _charge_end(vm, self.config.billing_cycle) + _EPS:
-            return
-        vm.charged_cycles += 1
-        heappush(self.heap, (now + self.config.billing_cycle, _PRIO_CYCLE, vm.id, vm))
-
-    # -- main loop ---------------------------------------------------------
+    def _settle_vm(self, vm: VmInstance, now: float) -> None:
+        """Count the VM's requests that finish by ``now`` and their busy time."""
+        jobs = vm.jobs
+        mark = self.window_mark
+        while jobs and jobs[0][1] <= now:
+            start, finish, ok = jobs.popleft()
+            if ok:
+                self.successes += 1
+            else:
+                self.failures += 1
+            vm.busy_in_window += finish - (start if start > mark else mark)
 
     def advance(self, until: float, arrivals: list[Request], idx: int) -> int:
-        """Process every event and arrival with time <= until; returns the
-        index of the first unconsumed arrival."""
-        heap = self.heap
+        """Dispatch every arrival with time <= until, then settle every VM at
+        until and charge its billing boundaries up to then; returns the index
+        of the first unconsumed arrival."""
+        first = idx
         n = len(arrivals)
-        at = arrivals[idx].arrival_time if idx < n else _INF
-        while True:
-            if heap:
-                top = heap[0]
-                ht = top[0]
-                take_heap = ht < at or (ht == at and top[1] < _PRIO_ARRIVAL)
-            elif at == _INF:
+        dispatch = self.dispatch
+        while idx < n:
+            req = arrivals[idx]
+            if req.arrival_time > until:
                 break
-            else:
-                take_heap = False
-            t = ht if take_heap else at
-            if t > until:
-                break
-            if t < self.now - _EPS:
-                raise RuntimeError(f"event time {t} precedes clock {self.now}")
-            self.now = t
-            if take_heap:
-                _, prio, _, vm = heappop(heap)
-                if prio == _PRIO_DONE:
-                    self._on_done(vm, t)
-                elif prio == _PRIO_READY:
-                    self._on_ready(vm, t)
-                else:
-                    self._on_cycle(vm, t)
-            else:
-                req = arrivals[idx]
-                idx += 1
-                at = arrivals[idx].arrival_time if idx < n else _INF
-                self.submitted += 1
-                self.dispatch(req, t)
-        self.now = max(self.now, until)
+            dispatch(req, req.arrival_time)
+            idx += 1
+        self.submitted += idx - first
+        cycle = self.config.billing_cycle
+        for vms in (self.active, self.retired):
+            for vm in vms.values():
+                self._settle_vm(vm, until)
+                # each boundary is the previous one plus a cycle
+                while vm.next_cycle <= until:
+                    if vm.next_cycle > _charge_end(vm, cycle) + _EPS:
+                        vm.next_cycle = _INF
+                    else:
+                        vm.charged_cycles += 1
+                        vm.next_cycle += cycle
         return idx
-
-
-class _VmSnap:
-    """Frozen per-VM state captured in a checkpoint."""
-
-    __slots__ = (
-        "id",
-        "capacity",
-        "requested_at",
-        "ready_at",
-        "released_at",
-        "anchor",
-        "queue",
-        "current",
-        "current_finish",
-    )
-
-    def __init__(self, vm: VmInstance):
-        self.id = vm.id
-        self.capacity = vm.capacity
-        self.requested_at = vm.requested_at
-        self.ready_at = vm.ready_at
-        self.released_at = vm.released_at
-        self.anchor = vm.anchor
-        self.queue = list(vm.queue)
-        self.current = vm.current
-        self.current_finish = vm.current_finish
 
 
 class Checkpoint:
@@ -423,45 +367,25 @@ class Checkpoint:
         self.arrivals = arrivals
         self.arrival_idx = arrival_idx
         self.next_vm_id = cluster.next_vm_id
-        self.backlog = list(cluster.backlog)
-        self.vm_snaps: list[_VmSnap] = []
+        cycle = config.billing_cycle
+        self.vm_snaps: list[VmInstance] = []
         for vm in cluster.all_vms():
-            if vm.released_at is not None:
-                drained = vm.is_idle()
-                charges_done = _charge_end(vm, config.billing_cycle) <= time + _EPS
-                if drained and charges_done:
-                    continue  # fully retired: no effect inside any window
-            self.vm_snaps.append(_VmSnap(vm))
+            if vm.released_at is not None and not vm.jobs and _charge_end(vm, cycle) <= time + _EPS:
+                continue  # fully retired: no effect inside any window
+            snap = vm.clone()
+            # next boundary strictly after the checkpoint; earlier ones are
+            # already charged to previous windows
+            k = max(1, math.floor((time - vm.anchor) / cycle + _EPS) + 1)
+            snap.next_cycle = vm.anchor + k * cycle
+            self.vm_snaps.append(snap)
 
     def replay(self, action: Action, window: float) -> UtilityBreakdown:
         cfg = self.config
         cluster = Cluster(cfg, mutate_requests=False)
-        cluster.now = self.time
-        cluster.window_mark = self.time
         cluster.next_vm_id = self.next_vm_id
-        cluster.backlog = deque(self.backlog)
-        cycle = cfg.billing_cycle
         for snap in self.vm_snaps:
-            vm = VmInstance(snap.id, snap.capacity, snap.requested_at, snap.ready_at, snap.anchor)
-            vm.released_at = snap.released_at
-            vm.queue = deque(snap.queue)
-            vm.current = snap.current
-            vm.current_finish = snap.current_finish
-            if snap.released_at is None:
-                cluster.active[snap.id] = vm
-            else:
-                cluster.retired[snap.id] = vm
-            if vm.current is not None:
-                vm.exec_start = self.time  # only the remaining service matters
-                heappush(cluster.heap, (vm.current_finish, _PRIO_DONE, vm.current.id, vm))
-            if vm.ready_at > self.time:
-                heappush(cluster.heap, (vm.ready_at, _PRIO_READY, vm.id, vm))
-            # next boundary strictly after the checkpoint; earlier ones are
-            # already charged to previous windows
-            k = max(1, math.floor((self.time - vm.anchor) / cycle + _EPS) + 1)
-            boundary = vm.anchor + k * cycle
-            if boundary <= _charge_end(vm, cycle) + _EPS:
-                heappush(cluster.heap, (boundary, _PRIO_CYCLE, vm.id, vm))
+            vms = cluster.active if snap.released_at is None else cluster.retired
+            vms[snap.id] = snap.clone()
 
         if action is Action.LAUNCH:
             cluster.launch_vm(self.time)
@@ -544,6 +468,11 @@ class Simulation:
             raise ValueError("horizon must be positive")
         if trace.requests and trace.requests[-1].arrival_time > horizon:
             raise ValueError("trace extends beyond the horizon")
+        prev = -_INF
+        for req in trace.requests:
+            if req.arrival_time < prev:
+                raise ValueError(f"trace arrivals are out of order at request {req.id}")
+            prev = req.arrival_time
         cfg = self.config
         cluster = self.cluster
         requests = trace.requests
@@ -579,7 +508,9 @@ class Simulation:
 
                 record = None
                 if pending is not None:
-                    record = self._settle(pending, t - pending.time, debt_mode, record_debt)
+                    record = self._settle(
+                        pending, t - pending.time, debt_mode, record_debt, breakdown.utility
+                    )
                     records.append(record)
                     if record_debt:
                         policy.observe_reward(record.debt, obs)
@@ -630,7 +561,8 @@ class Simulation:
         cumulative += breakdown.utility
         record = None
         if pending is not None:
-            record = self._settle(pending, horizon - pending.time, debt_mode, record_debt)
+            # no measured utility: the horizon billing true-up has no replay analogue
+            record = self._settle(pending, horizon - pending.time, debt_mode, record_debt, None)
             records.append(record)
         windows.append(
             self._window_metrics(win_start, horizon, win_submitted, breakdown, obs, pending, record)
@@ -671,8 +603,15 @@ class Simulation:
                 self.cluster.release_vm(victim, now)
 
     def _settle(
-        self, pending: _Pending, elapsed: float, debt_mode: str, record_debt: bool
+        self,
+        pending: _Pending,
+        elapsed: float,
+        debt_mode: str,
+        record_debt: bool,
+        window_utility: float | None,
     ) -> AdaptationRecord:
+        """Value the pending adaptation; ``window_utility`` is what the primary
+        run measured over the elapsed window, when that is comparable."""
         if not record_debt:
             return AdaptationRecord(
                 time=pending.time,
@@ -682,12 +621,16 @@ class Simulation:
                 u_ideal=0.0,
                 debt=0.0,
             )
+        measured = None
         if debt_mode == "proactive":
             window = self.config.decision_interval + self.config.billing_cycle
         else:
             window = elapsed
+            if window_utility is not None:
+                # the primary run just ran the taken action over this window
+                measured = {pending.action: window_utility}
         u_ideal, per_action = economics.counterfactual_ideal(
-            pending.checkpoint, pending.candidates, window
+            pending.checkpoint, pending.candidates, window, measured
         )
         u_actual = per_action[pending.action]
         return AdaptationRecord(
@@ -738,8 +681,8 @@ class Simulation:
         # window; the remainder accrues later because window_mark moves to now
         mark = self.cluster.window_mark
         for vm in self.cluster.active.values():
-            if vm.current is not None:
-                vm.busy_in_window += now - max(vm.exec_start, mark)
+            if vm.jobs and vm.jobs[0][0] < now:
+                vm.busy_in_window += now - max(vm.jobs[0][0], mark)
 
     def _window_cycles(self, snap: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -765,7 +708,8 @@ class Simulation:
         ready = [vm for vm in self.cluster.active.values() if vm.ready_at <= now]
         n_ready = len(ready)
         pending_vms = len(self.cluster.active) - n_ready
-        with_queue = sum(1 for vm in ready if vm.queue)
+        # a ready VM executes its first outstanding request; the rest wait
+        with_queue = sum(1 for vm in ready if len(vm.jobs) > 1)
         idle_near = 0
         for vm in ready:
             if vm.is_idle():

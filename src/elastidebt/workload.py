@@ -38,8 +38,8 @@ class ProfileError(ValueError):
 class Request:
     """One incoming job.
 
-    ``start_time``/``finish_time`` are filled in by the simulator once the
-    request begins executing and completes.
+    ``start_time``/``finish_time`` are filled in by the primary simulation
+    when it dispatches the request: FIFO service fixes both then.
     """
 
     id: int

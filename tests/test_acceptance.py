@@ -181,7 +181,9 @@ def oracle_utility(cfg, vm_specs, action, arrivals, t0, window):
     release_end = {}
     if action is Action.LAUNCH:
         new_id = max(v["id"] for v in fleet) + 1
-        fleet.append({"id": new_id, "anchor": t0, "ready": t0 + cfg.spin_up})
+        ready = t0 + cfg.spin_up
+        anchor = t0 if cfg.billing_anchor == "at_request" else ready
+        fleet.append({"id": new_id, "anchor": anchor, "ready": ready})
     elif action is Action.RELEASE and len(fleet) > 1:
         remaining = lambda v: cfg.billing_cycle - ((t0 - v["anchor"]) % cfg.billing_cycle)
         victim = min(fleet, key=lambda v: (remaining(v), v["id"]))
@@ -230,7 +232,6 @@ def build_checkpoint(cfg, vm_specs, arrivals, t0):
         vm = VmInstance(spec["id"], cfg.vm_capacity, spec["ready"], spec["ready"], spec["anchor"])
         cluster.active[spec["id"]] = vm
     cluster.next_vm_id = max(spec["id"] for spec in vm_specs) + 1
-    cluster.now = t0
     requests = [Request(i, at, work) for i, (at, work) in enumerate(arrivals)]
     return Checkpoint(cfg, t0, cluster, requests, 0)
 

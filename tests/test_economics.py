@@ -148,9 +148,27 @@ def test_debts_non_positive_and_zero_iff_action_maximal():
             assert rec.per_action_utilities[rec.action_taken] < best
 
 
-def test_retrospective_u_actual_matches_measured_window():
-    # replaying the taken action must reproduce the live window exactly
-    # (the final window is excluded: its billing true-up has no replay analogue)
+def test_retrospective_u_actual_matches_measured_window(monkeypatch):
+    # replaying the taken action must reproduce the live window exactly,
+    # which is why retrospective valuation takes u_actual from the measured
+    # window instead of replaying it (the final window is excluded: its
+    # billing true-up has no replay analogue)
+    checkpoints = {}
+    original = Checkpoint.__init__
+
+    def capturing(self, config, time, *args):
+        original(self, config, time, *args)
+        checkpoints[time] = self
+
+    replays = []
+    replay = Checkpoint.replay
+
+    def counting(self, action, window):
+        replays.append(action)
+        return replay(self, action, window)
+
+    monkeypatch.setattr(Checkpoint, "__init__", capturing)
+    monkeypatch.setattr(Checkpoint, "replay", counting)
     cfg = SimConfig()
     trace = generate_trace(default_profile(), 1800.0, seed=29)
     result = run_simulation(cfg, trace, VotingPolicy(), 1800.0)
@@ -158,6 +176,11 @@ def test_retrospective_u_actual_matches_measured_window():
     for win in result.windows[:-1]:
         if win.record is None:
             continue
-        assert win.record.u_actual == win.breakdown.utility
+        rec = win.record
+        assert rec.u_actual == win.breakdown.utility
+        replayed = replay(checkpoints[rec.time], rec.action_taken, win.end - rec.time)
+        assert replayed.utility == win.breakdown.utility
         checked += 1
     assert checked >= 5
+    # only the final window replays the taken action as well
+    assert len(replays) == 3 * len(result.records) - checked

@@ -144,13 +144,29 @@ def test_same_config_and_seed_reproduce_identical_reports():
     assert a.qtable_rows == b.qtable_rows
 
 
-def test_paired_policies_share_the_workload():
-    from elastidebt.experiment import paired_experiment
+def test_paired_policies_share_the_workload(monkeypatch):
+    from elastidebt import experiment
 
-    da, vo = paired_experiment(quick_config(), seed=2)
+    generated = []
+    generate = experiment.generate_trace
+
+    def counting(*args):
+        generated.append(args)
+        return generate(*args)
+
+    monkeypatch.setattr(experiment, "generate_trace", counting)
+    da, vo = experiment.paired_experiment(quick_config(), seed=2)
     assert da.totals.submitted == vo.totals.submitted
     assert da.totals.policy == "debt-aware"
     assert vo.totals.policy == "voting"
+    # one trace, but each run writes start and finish into its own requests
+    assert len(generated) == 1
+    da_reqs, vo_reqs = da.result.requests, vo.result.requests
+    assert [(r.id, r.arrival_time, r.work) for r in da_reqs] == [
+        (r.id, r.arrival_time, r.work) for r in vo_reqs
+    ]
+    assert not any(a is b for a, b in zip(da_reqs, vo_reqs))
+    assert [r.start_time for r in da_reqs] != [r.start_time for r in vo_reqs]
 
 
 def test_wall_clock_is_recorded():

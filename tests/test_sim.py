@@ -35,33 +35,37 @@ def test_service_time_examples():
 # -- dispatch ----------------------------------------------------------------
 
 
+def dispatch_all(cluster, now, *works):
+    """Dispatch one request per work size at ``now``; returns the chosen VM ids."""
+    return [cluster.dispatch(Request(100 + i, now, work), now) for i, work in enumerate(works)]
+
+
 def test_dispatch_prefers_fewest_outstanding():
     cluster = Cluster(SimConfig())
     cluster.launch_vm(0.0, initial=True)
     cluster.launch_vm(0.0, initial=True)
-    # preload vm1 with three queued requests
-    for i in range(3):
-        cluster.active[1].queue.append(Request(100 + i, 0.0, 2.0))
-    chosen = cluster.dispatch(Request(0, 0.0, 2.0), 0.0)
-    assert chosen == 0
+    # vm0 gets a 10 s and a 0.2 s request, vm1 a 0.2 s one and then a 10 s one
+    assert dispatch_all(cluster, 0.0, 100.0, 2.0, 2.0, 100.0) == [0, 1, 0, 1]
+    # vm1's first request finishes at 0.2, so an arrival at 0.2 sees vm1
+    # holding one request and vm0 two
+    assert cluster.dispatch(Request(0, 0.2, 2.0), 0.2) == 1
 
 
 def test_dispatch_tie_breaks_on_lowest_id():
     cluster = Cluster(SimConfig())
     cluster.launch_vm(0.0, initial=True)
     cluster.launch_vm(0.0, initial=True)
-    for vm in cluster.active.values():
-        vm.queue.append(Request(50 + vm.id, 0.0, 2.0))
-        vm.queue.append(Request(60 + vm.id, 0.0, 2.0))
-    chosen = cluster.dispatch(Request(0, 0.0, 2.0), 0.0)
-    assert chosen == 0
+    # equal loads at every step: the lower id wins each tie
+    assert dispatch_all(cluster, 0.0, 2.0, 2.0, 2.0, 2.0) == [0, 1, 0, 1]
+    assert [vm.outstanding() for vm in cluster.active.values()] == [2, 2]
+    assert cluster.dispatch(Request(0, 0.0, 2.0), 0.0) == 0
 
 
 def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
     cluster = Cluster(SimConfig())
     cluster.launch_vm(0.0, initial=True)
     cluster.launch_vm(0.0, initial=True)
-    cluster.active[0].current = Request(100, 0.0, 2.0)
+    assert dispatch_all(cluster, 0.0, 2.0) == [0]
     assert cluster.dispatch(Request(0, 0.0, 2.0), 0.0) == 1
 
 
@@ -74,7 +78,7 @@ def test_active_stays_in_id_order_after_release_and_launch():
     assert new == 3
     assert list(cluster.active) == [0, 2, 3]
     # vm0 is busy; vm2 and vm3 tie at zero outstanding and the lower id wins
-    cluster.active[0].current = Request(100, 10.0, 2.0)
+    assert dispatch_all(cluster, 10.0, 2.0) == [0]
     assert cluster.dispatch(Request(0, 10.0, 2.0), 10.0) == 2
 
 
@@ -82,13 +86,15 @@ def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
     # least-outstanding dispatch counts VMs still spinning up: an empty
     # pending VM beats ready VMs that each have work outstanding
     cluster = Cluster(SimConfig())
-    for vm_id in (cluster.launch_vm(0.0, initial=True), cluster.launch_vm(0.0, initial=True)):
-        cluster.active[vm_id].current = Request(100 + vm_id, 0.0, 2.0)
+    cluster.launch_vm(0.0, initial=True)
+    cluster.launch_vm(0.0, initial=True)
     pending = cluster.launch_vm(0.0)
+    assert dispatch_all(cluster, 10.0, 2.0, 2.0) == [0, 1]
     req = Request(0, 10.0, 2.0)
     assert cluster.dispatch(req, 10.0) == pending
-    assert list(cluster.active[pending].queue) == [req]
-    assert cluster.active[pending].current is None
+    # it waits for the VM to be ready, so its response misses the SLA
+    assert list(cluster.active[pending].jobs) == [(105.0, req.finish_time, False)]
+    assert req.start_time == cluster.active[pending].ready_at == 105.0
 
 
 def test_replay_cluster_keeps_active_in_id_order(monkeypatch):
@@ -159,6 +165,7 @@ def test_billing_anchor_at_ready():
 def test_release_unknown_or_repeated_vm_errors():
     cluster = Cluster(SimConfig())
     vm_id = cluster.launch_vm(0.0, initial=True)
+    cluster.launch_vm(0.0, initial=True)
     with pytest.raises(ValueError, match="unknown"):
         cluster.release_vm(99, 10.0)
     cluster.release_vm(vm_id, 10.0)
@@ -172,15 +179,23 @@ def test_released_vm_drains_queue_and_counts_responses():
     vm_id = cluster.launch_vm(0.0, initial=True)
     reqs = [Request(0, 0.0, 2.0), Request(1, 0.0, 2.0), Request(2, 0.0, 2.0)]
     cluster.advance(0.0, reqs, 0)  # one executing, two queued
+    assert cluster.active[vm_id].outstanding() == 3
+    other = cluster.launch_vm(0.0, initial=True)
     cluster.release_vm(vm_id, 0.05)
     cluster.advance(100.0, reqs, 3)
-    assert all(r.finish_time is not None for r in reqs)
+    assert [r.finish_time for r in reqs] == pytest.approx([0.2, 0.4, 0.6])
     assert cluster.successes == 3
+    assert cluster.retired[vm_id].is_idle()
     # released VM accepts no new work
     late = Request(3, 150.0, 2.0)
     cluster.advance(200.0, [late], 0)
-    assert late.start_time is None
-    assert len(cluster.backlog) == 1
+    assert late.start_time == 150.0
+    assert cluster.retired[vm_id].last_finish == reqs[-1].finish_time
+    assert cluster.successes == 4
+    # the last active VM cannot be released
+    with pytest.raises(ValueError, match="last active VM"):
+        cluster.release_vm(other, 200.0)
+    assert list(cluster.active) == [other]
 
 
 # -- billing -----------------------------------------------------------------
@@ -341,7 +356,7 @@ def test_release_victim_prefers_idle_nearest_boundary():
     cluster.active[b].anchor = 100.0  # at t=250, 150s to boundary
     assert select_release_victim(cluster, 250.0) == a
     # a busy VM is not an idle candidate
-    cluster.active[a].current = Request(0, 0.0, 2.0)
+    assert cluster.dispatch(Request(0, 250.0, 2.0), 250.0) == a
     assert select_release_victim(cluster, 250.0) == b
 
 
@@ -359,6 +374,13 @@ def test_trace_beyond_horizon_rejected(maintain_policy):
     trace = make_trace([(100.0, 2.0)])
     with pytest.raises(ValueError, match="horizon"):
         run_simulation(SimConfig(), trace, maintain_policy, 50.0)
+
+
+def test_unordered_trace_rejected(maintain_policy):
+    trace = make_trace([(10.0, 2.0), (20.0, 2.0)])
+    trace.requests.reverse()
+    with pytest.raises(ValueError, match="out of order"):
+        run_simulation(SimConfig(), trace, maintain_policy, 60.0)
 
 
 def test_policy_returning_junk_rejected():
@@ -385,24 +407,47 @@ def test_billed_cycles_cover_busy_span():
     from elastidebt.workload import default_profile, generate_trace
 
     cfg = SimConfig()
-    trace = generate_trace(default_profile(), 1500.0, seed=2)
+    horizon = 1500.0
+    trace = generate_trace(default_profile(), horizon, seed=2)
     sim = Simulation(cfg)
-    spans: dict[int, list[float]] = {}  # vm id -> [first start, last finish]
-    on_done = sim.cluster._on_done
+    jobs: dict[int, list[tuple[float, float]]] = {}  # vm id -> [(start, finish)]
+    dispatch = sim.cluster.dispatch
 
-    def recording(vm, now):
-        span = spans.setdefault(vm.id, [vm.exec_start, now])
-        span[1] = now
-        on_done(vm, now)
+    def recording(req, now):
+        vm_id = dispatch(req, now)
+        start, finish, _ = sim.cluster.active[vm_id].jobs[-1]
+        jobs.setdefault(vm_id, []).append((start, finish))
+        return vm_id
 
-    sim.cluster._on_done = recording
-    sim.run(trace, FixedPolicy(Action.MAINTAIN), 1500.0)
+    def busy_span(vm_id, by):
+        done = [(s, f) for s, f in jobs[vm_id] if f <= by]
+        return done[0][0], done[-1][1]
+
+    observe = sim._observe
+    interior = []
+
+    def checked(now, win_start, win_succ, win_fail):
+        if now < horizon:
+            # before the true-up: each boundary passed so far is charged once,
+            # and the cycle in progress is not charged yet
+            interior.append(now)
+            for vm in sim.cluster.all_vms():
+                assert vm.charged_cycles == math.floor((now - vm.anchor) / cfg.billing_cycle + 1e-9)
+                first_start, last_finish = busy_span(vm.id, now)
+                busy = last_finish - first_start
+                assert vm.charged_cycles + 1 >= math.ceil(busy / cfg.billing_cycle - 1e-9)
+        return observe(now, win_start, win_succ, win_fail)
+
+    sim.cluster.dispatch = recording
+    sim._observe = checked
+    sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
+    assert interior == [60.0 + 120.0 * k for k in range(12)]
     vms = {vm.id: vm for vm in sim.cluster.all_vms()}
-    assert len(spans) == len(vms) == cfg.initial_vms
-    for vm_id, (first_start, last_finish) in spans.items():
-        vm = vms[vm_id]
-        busy_span = last_finish - first_start
-        assert vm.charged_cycles >= math.ceil(busy_span / cfg.billing_cycle - 1e-9)
+    assert len(jobs) == len(vms) == cfg.initial_vms
+    for vm_id, vm in vms.items():
+        first_start, last_finish = busy_span(vm_id, horizon)
+        busy = last_finish - first_start
+        assert vm.charged_cycles >= math.ceil(busy / cfg.billing_cycle - 1e-9)
         assert first_start >= vm.anchor
 
 
