@@ -5,7 +5,7 @@ Run:  python3 demos/02_cluster_anatomy.py
 
 from elastidebt import Request, SimConfig, WorkloadTrace, run_simulation
 from elastidebt.policies import ACTION_ORDER, Action
-from elastidebt.sim import VmInstance, billing_cycles_charged
+from elastidebt.sim import Cluster, VmInstance, billing_cycles_charged
 
 
 class Maintain:
@@ -23,16 +23,17 @@ class Maintain:
 
 # --- 1. ten simultaneous requests on one VM: the FIFO staircase -------------
 
-cfg = SimConfig(initial_vms=1)
+cluster = Cluster(SimConfig())
+vm_id = cluster.launch_vm(0.0, initial=True)
 reqs = [Request(i, 0.0, 2.0) for i in range(10)]
-trace = WorkloadTrace(requests=reqs, duration=10.0)
-result = run_simulation(cfg, trace, Maintain(), 600.0)
+cluster.advance(0.0, reqs, 0)  # dispatch all ten; each is scheduled on arrival
 
 print("ten 2 MI requests at t=0 on a single 10 MIPS VM:")
-for r in reqs:
-    verdict = "ok  " if r.response_time < cfg.sla_response_limit - 1e-9 else "LATE"
-    print(f"  req {r.id}: start {r.start_time:.1f}  finish {r.finish_time:.1f}  {verdict}")
-print(f"successes {result.totals.successes}, failures {result.totals.failures}")
+for r, (start, finish, ok) in zip(reqs, cluster.active[vm_id].jobs):
+    verdict = "ok  " if ok else "LATE"
+    print(f"  req {r.id}: start {start:.1f}  finish {finish:.1f}  {verdict}")
+cluster.advance(600.0, reqs, len(reqs))
+print(f"successes {cluster.successes}, failures {cluster.failures}")
 
 # --- 2. spin-up lag: work dispatched to a machine that is still booting ------
 

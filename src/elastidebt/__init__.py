@@ -9,7 +9,6 @@ adaptation by counterfactual replay of the discarded actions.
 from .economics import (
     AdaptationRecord,
     UtilityBreakdown,
-    classify_request,
     compute_debt,
     compute_utility,
     counterfactual_ideal,
@@ -48,7 +47,6 @@ from .sim import (
     VmInstance,
     billing_cycles_charged,
     run_simulation,
-    service_time,
 )
 from .workload import (
     RateProfile,
@@ -87,7 +85,6 @@ __all__ = [
     "WorkloadTrace",
     "allowed_actions",
     "billing_cycles_charged",
-    "classify_request",
     "compare",
     "compute_debt",
     "compute_utility",
@@ -105,7 +102,6 @@ __all__ = [
     "run_simulation",
     "select_action",
     "serialize_trace",
-    "service_time",
     "vm_vote",
     "vote_decision",
 ]

@@ -1,4 +1,4 @@
-"""Window utility, SLA classification and elasticity-debt valuation.
+"""Window utility, SLA penalties and elasticity-debt valuation.
 
 The utility of a monitoring window is revenue from successful requests minus
 per-request SLA penalties minus VM cycle charges.  The elasticity debt of an
@@ -39,21 +39,6 @@ class AdaptationRecord:
     u_ideal: float
     debt: float
     per_action_utilities: dict[Action, float] = field(default_factory=dict)
-
-
-_SLA_EPS = 1e-9
-
-
-def classify_request(response_time: float, sla_limit: float) -> bool:
-    """True when the response time strictly beats the SLA limit.
-
-    A 1e-9 s guard keeps accumulated event times that land on the limit
-    (e.g. ten queued 0.2 s jobs summing to 2.0 s) classified as at the
-    boundary, i.e. failures.
-    """
-    if response_time < 0:
-        raise ValueError("response_time must be non-negative")
-    return response_time < sla_limit - _SLA_EPS
 
 
 def penalized_failures(successes: int, failures: int, mode: str, target: float = 0.95) -> int:

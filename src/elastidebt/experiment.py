@@ -9,15 +9,15 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .policies import DebtAwarePolicy, LearningParams, QTable, VotingParams, VotingPolicy
 from .sim import SimConfig, SimulationResult, run_simulation
 from .workload import (
     RateProfile,
-    Request,
     WorkloadTrace,
     default_profile,
     generate_trace,
@@ -59,27 +59,8 @@ class ExperimentConfig:
             raise ConfigError("exactly one workload source (profile or trace) is required")
         if self.policy not in ("debt-aware", "voting"):
             raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.horizon <= 0:
-            raise ConfigError("horizon must be positive")
-
-
-_SIM_FLOAT_KEYS = (
-    "spin_up",
-    "cool_down",
-    "billing_cycle",
-    "decision_interval",
-    "vm_capacity",
-    "work_per_request",
-    "sla_response_limit",
-    "price_per_request",
-    "penalty_per_request",
-    "vm_cost_per_cycle",
-    "sla_target",
-    "cycle_proximity",
-)
-_SIM_STR_KEYS = ("billing_anchor", "sla_mode")
-_LEARN_FLOAT_KEYS = ("alpha_initial", "alpha_decay_step", "alpha_min", "gamma", "epsilon")
-_VOTE_FLOAT_KEYS = ("lower_cpu", "upper_cpu")
+        if not 0 < self.horizon < math.inf:
+            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -104,20 +85,13 @@ def load_config(path: str) -> ExperimentConfig:
 
     base = os.path.dirname(os.path.abspath(path))
     cfg = ExperimentConfig()
+    # every parameter field is a key, parsed as the type of its default
+    sections = {f.name: sec for sec in (cfg.sim, cfg.learning, cfg.voting) for f in fields(sec)}
     try:
         for key, value in pairs.items():
-            if key in _SIM_FLOAT_KEYS:
-                setattr(cfg.sim, key, float(value))
-            elif key in _SIM_STR_KEYS:
-                setattr(cfg.sim, key, value)
-            elif key == "initial_vms":
-                cfg.sim.initial_vms = int(value)
-            elif key in _LEARN_FLOAT_KEYS:
-                setattr(cfg.learning, key, float(value))
-            elif key == "alpha_decay":
-                cfg.learning.alpha_decay = value
-            elif key in _VOTE_FLOAT_KEYS:
-                setattr(cfg.voting, key, float(value))
+            if key in sections:
+                section = sections[key]
+                setattr(section, key, type(getattr(section, key))(value))
             elif key == "policy":
                 cfg.policy = value
             elif key == "seed":
@@ -482,20 +456,14 @@ def paired_experiment(
 ) -> tuple[ExperimentReport, ExperimentReport]:
     """Run debt-aware and voting on the identical workload for one seed.
 
-    The workload is built once; each run gets its own Request objects,
-    because the primary run writes start and finish times into them.
+    The workload is built once and both runs read the same requests.
     """
     debt_cfg = replace(base, policy="debt-aware", seed=seed)
     vote_cfg = replace(base, policy="voting", seed=seed)
     debt_cfg.validate()
     vote_cfg.validate()
     workload = build_workload(debt_cfg)
-    debt = _run_on(debt_cfg, workload)
-    fresh = WorkloadTrace(
-        requests=[Request(r.id, r.arrival_time, r.work) for r in workload.requests],
-        duration=workload.duration,
-    )
-    return debt, _run_on(vote_cfg, fresh)
+    return _run_on(debt_cfg, workload), _run_on(vote_cfg, workload)
 
 
 def default_config(seed: int = 0, horizon: float = 21600.0) -> ExperimentConfig:

@@ -8,6 +8,7 @@ decision's window closes.  The voting baseline ignores rewards entirely.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -78,6 +79,9 @@ class LearningParams:
     alpha_decay: str = "linear"  # or "multiplicative"
 
     def validate(self) -> None:
+        for name in ("alpha_initial", "alpha_decay_step", "alpha_min"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
@@ -94,7 +98,6 @@ class VotingParams:
 
     lower_cpu: float = 0.25
     upper_cpu: float = 0.95
-    agreement: str = "relative-majority"
 
     def validate(self) -> None:
         if not 0.0 <= self.lower_cpu < self.upper_cpu <= 1.0:

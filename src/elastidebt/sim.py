@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import economics
 from .economics import AdaptationRecord, UtilityBreakdown, compute_utility, penalized_failures
@@ -43,7 +43,6 @@ class SimConfig:
     billing_cycle: float = 300.0
     decision_interval: float = 60.0
     vm_capacity: float = 10.0
-    work_per_request: float = 2.0
     sla_response_limit: float = 2.0
     price_per_request: float = 0.0012344
     penalty_per_request: float = 0.002
@@ -55,13 +54,16 @@ class SimConfig:
     cycle_proximity: float = 60.0  # "close to next billing cycle" cutoff
 
     def validate(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         positive = (
             "spin_up",
             "cool_down",
             "billing_cycle",
             "decision_interval",
             "vm_capacity",
-            "work_per_request",
             "sla_response_limit",
             "price_per_request",
             "penalty_per_request",
@@ -150,13 +152,6 @@ class ClusterObservation:
     window_failures: int
 
 
-def service_time(request: Request, vm: VmInstance) -> float:
-    """Seconds to execute the request's work on the VM."""
-    if vm.capacity <= 0:
-        raise ValueError("vm capacity must be positive")
-    return request.work / vm.capacity
-
-
 def billing_cycles_charged(vm: VmInstance, horizon: float, billing_cycle: float) -> int:
     """Cycles charged by ``horizon``: every started cycle is fully charged.
 
@@ -177,8 +172,8 @@ def _charge_end(vm: VmInstance, billing_cycle: float) -> float:
     """Release time rounded up to the next cycle boundary (alive VMs: inf)."""
     if vm.released_at is None:
         return _INF
-    span = vm.released_at - vm.anchor
-    cycles = max(0, math.ceil(span / billing_cycle - _EPS))
+    # a VM released while an at_ready anchor is still ahead owes nothing
+    cycles = billing_cycles_charged(vm, max(vm.released_at, vm.anchor), billing_cycle)
     return vm.anchor + cycles * billing_cycle
 
 
@@ -209,9 +204,9 @@ class Cluster:
     Counters, ``outstanding_requests`` and each VM's ``jobs`` therefore
     describe the cluster at that time once ``advance`` returns.
 
-    ``mutate_requests`` controls whether each request's scheduled start and
-    finish are written into the Request object at dispatch; replays leave
-    them untouched so the primary run's trace is never perturbed.
+    Requests are only read: a request's schedule and SLA verdict live in
+    its VM's ``jobs``, so the primary run and every replay can share one
+    trace.
 
     ``active`` is kept in ascending id order: ``launch_vm`` adds ids in
     increasing order, ``release_vm`` only deletes and ``Checkpoint.replay``
@@ -219,9 +214,8 @@ class Cluster:
     ``release_vm`` refuses to release the last active VM.
     """
 
-    def __init__(self, config: SimConfig, mutate_requests: bool = True):
+    def __init__(self, config: SimConfig):
         self.config = config
-        self.mutate_requests = mutate_requests
         self.active: dict[int, VmInstance] = {}
         self.retired: dict[int, VmInstance] = {}
         self.next_vm_id = 0
@@ -260,6 +254,15 @@ class Cluster:
         del self.active[vm_id]
         self.retired[vm_id] = vm
 
+    def apply(self, action: Action, now: float) -> None:
+        """Carry out a policy action; a release that would leave no VM is skipped."""
+        if action is Action.LAUNCH:
+            self.launch_vm(now)
+        elif action is Action.RELEASE:
+            victim = select_release_victim(self, now)
+            if victim is not None:
+                self.release_vm(victim, now)
+
     def all_vms(self) -> list[VmInstance]:
         vms = list(self.active.values()) + list(self.retired.values())
         vms.sort(key=lambda v: v.id)
@@ -280,7 +283,9 @@ class Cluster:
         so the scan stops at the first such VM (``active`` is in ascending id
         order).  Only when every VM is busy are their finished requests
         settled to count the loads.  The request starts at the latest of its
-        arrival, the VM's ready time and the VM's last finish.
+        arrival, the VM's ready time and the VM's last finish; it meets the
+        SLA when its response time is below the limit by more than 1e-9 s,
+        so queued jobs that sum to the limit (ten 0.2 s jobs, 2.0 s) fail.
         """
         for vm in self.active.values():
             if vm.last_finish <= now:
@@ -300,9 +305,6 @@ class Cluster:
         finish = start + req.work / vm.capacity
         vm.jobs.append((start, finish, finish - req.arrival_time < self._sla_limit))
         vm.last_finish = finish
-        if self.mutate_requests:
-            req.start_time = start
-            req.finish_time = finish
         return vm.id
 
     def _settle_vm(self, vm: VmInstance, now: float) -> None:
@@ -381,18 +383,12 @@ class Checkpoint:
 
     def replay(self, action: Action, window: float) -> UtilityBreakdown:
         cfg = self.config
-        cluster = Cluster(cfg, mutate_requests=False)
+        cluster = Cluster(cfg)
         cluster.next_vm_id = self.next_vm_id
         for snap in self.vm_snaps:
             vms = cluster.active if snap.released_at is None else cluster.retired
             vms[snap.id] = snap.clone()
-
-        if action is Action.LAUNCH:
-            cluster.launch_vm(self.time)
-        elif action is Action.RELEASE:
-            victim = select_release_victim(cluster, self.time)
-            if victim is not None:
-                cluster.release_vm(victim, self.time)
+        cluster.apply(action, self.time)
 
         end = self.time + window
         cluster.advance(end, self.arrivals, self.arrival_idx)
@@ -431,6 +427,15 @@ class SimulationResult:
     requests: list[Request] = field(repr=False, default_factory=list)
 
 
+def _decision_ticks(interval: float, horizon: float):
+    """Decision points ``k * interval`` before the horizon, then the horizon."""
+    k = 1
+    while (t := k * interval) < horizon:
+        yield t
+        k += 1
+    yield horizon
+
+
 @dataclass
 class _Pending:
     """Adaptation awaiting its window close and debt valuation."""
@@ -449,7 +454,7 @@ class Simulation:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self.cluster = Cluster(config, mutate_requests=True)
+        self.cluster = Cluster(config)
         self._ran = False
         for _ in range(config.initial_vms):
             self.cluster.launch_vm(0.0, initial=True)
@@ -464,8 +469,8 @@ class Simulation:
         if self._ran:
             raise RuntimeError("a Simulation instance runs once; build a fresh one")
         self._ran = True
-        if horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < horizon < _INF:
+            raise ValueError(f"horizon must be positive and finite, got {horizon}")
         if trace.requests and trace.requests[-1].arrival_time > horizon:
             raise ValueError("trace extends beyond the horizon")
         prev = -_INF
@@ -489,84 +494,69 @@ class Simulation:
         learns = getattr(policy, "learns", False)
         debt_mode = getattr(policy, "debt_mode", "proactive" if learns else "retrospective")
 
-        k = 1
-        while (t := k * cfg.decision_interval) < horizon:
+        for t in _decision_ticks(cfg.decision_interval, horizon):
+            final = t == horizon
             idx = cluster.advance(t, requests, idx)
-            if t - last_adaptation >= cfg.cool_down - _EPS:
-                # close the window [win_start, t]
-                self._flush_busy(t)
-                win_submitted = cluster.submitted - snap_submitted
-                win_succ = cluster.successes - snap_succ
-                win_fail = cluster.failures - snap_fail
-                cycles_by_vm = self._window_cycles(snap_cycles)
-                obs = self._observe(t, win_start, win_succ, win_fail)
-                x_f = penalized_failures(win_succ, win_fail, cfg.sla_mode, cfg.sla_target)
-                breakdown = compute_utility(
-                    win_succ, x_f, list(cycles_by_vm.values()), cfg, window=(win_start, t)
-                )
-                cumulative += breakdown.utility
+            if final:
+                self._true_up_billing(t)
+            elif t - last_adaptation < cfg.cool_down - _EPS:
+                continue
+            # close the window [win_start, t]
+            self._flush_busy(t)
+            win_submitted = cluster.submitted - snap_submitted
+            win_succ = cluster.successes - snap_succ
+            win_fail = cluster.failures - snap_fail
+            cycles_by_vm = self._window_cycles(snap_cycles)
+            obs = self._observe(t, win_start, win_succ, win_fail)
+            x_f = penalized_failures(win_succ, win_fail, cfg.sla_mode, cfg.sla_target)
+            breakdown = compute_utility(
+                win_succ, x_f, list(cycles_by_vm.values()), cfg, window=(win_start, t)
+            )
+            cumulative += breakdown.utility
 
-                record = None
-                if pending is not None:
-                    record = self._settle(
-                        pending, t - pending.time, debt_mode, record_debt, breakdown.utility
-                    )
-                    records.append(record)
-                    if record_debt:
-                        policy.observe_reward(record.debt, obs)
-                windows.append(
-                    self._window_metrics(win_start, t, win_submitted, breakdown, obs, pending, record)
+            record = None
+            if pending is not None:
+                # the horizon billing true-up has no replay analogue, so the
+                # final window's measured utility is not comparable
+                window_utility = None if final else breakdown.utility
+                record = self._settle(
+                    pending, t - pending.time, debt_mode, record_debt, window_utility
                 )
+                records.append(record)
+                if record_debt and not final:
+                    policy.observe_reward(record.debt, obs)
+            windows.append(
+                self._window_metrics(win_start, t, win_submitted, breakdown, obs, pending, record)
+            )
+            if final:
+                break
 
-                candidates = tuple(policy.candidates(obs))
-                action = policy.decide(obs)
-                if not isinstance(action, Action):
-                    raise TypeError(f"policy returned {action!r}, not an Action")
-                if action not in candidates:
-                    raise ValueError(f"policy chose {action} outside its candidate set")
-                checkpoint = Checkpoint(cfg, t, cluster, requests, idx) if record_debt else None
-                live_before = len(cluster.active)
-                self._apply(action, t)
-                pending = _Pending(
-                    time=t,
-                    state=discretize_state(obs),
-                    action=action,
-                    candidates=candidates,
-                    checkpoint=checkpoint,
-                    live_vms_before=live_before,
-                )
-                last_adaptation = t
-                win_start = t
-                cluster.window_mark = t
-                for vm in cluster.active.values():
-                    vm.busy_in_window = 0.0
-                snap_submitted = cluster.submitted
-                snap_succ = cluster.successes
-                snap_fail = cluster.failures
-                snap_cycles = {vm.id: vm.charged_cycles for vm in cluster.all_vms()}
-            k += 1
-
-        idx = cluster.advance(horizon, requests, idx)
-        self._true_up_billing(horizon)
-        self._flush_busy(horizon)
-        win_submitted = cluster.submitted - snap_submitted
-        win_succ = cluster.successes - snap_succ
-        win_fail = cluster.failures - snap_fail
-        cycles_by_vm = self._window_cycles(snap_cycles)
-        obs = self._observe(horizon, win_start, win_succ, win_fail)
-        x_f = penalized_failures(win_succ, win_fail, cfg.sla_mode, cfg.sla_target)
-        breakdown = compute_utility(
-            win_succ, x_f, list(cycles_by_vm.values()), cfg, window=(win_start, horizon)
-        )
-        cumulative += breakdown.utility
-        record = None
-        if pending is not None:
-            # no measured utility: the horizon billing true-up has no replay analogue
-            record = self._settle(pending, horizon - pending.time, debt_mode, record_debt, None)
-            records.append(record)
-        windows.append(
-            self._window_metrics(win_start, horizon, win_submitted, breakdown, obs, pending, record)
-        )
+            candidates = tuple(policy.candidates(obs))
+            action = policy.decide(obs)
+            if not isinstance(action, Action):
+                raise TypeError(f"policy returned {action!r}, not an Action")
+            if action not in candidates:
+                raise ValueError(f"policy chose {action} outside its candidate set")
+            checkpoint = Checkpoint(cfg, t, cluster, requests, idx) if record_debt else None
+            live_before = len(cluster.active)
+            cluster.apply(action, t)
+            pending = _Pending(
+                time=t,
+                state=discretize_state(obs),
+                action=action,
+                candidates=candidates,
+                checkpoint=checkpoint,
+                live_vms_before=live_before,
+            )
+            last_adaptation = t
+            win_start = t
+            cluster.window_mark = t
+            for vm in cluster.active.values():
+                vm.busy_in_window = 0.0
+            snap_submitted = cluster.submitted
+            snap_succ = cluster.successes
+            snap_fail = cluster.failures
+            snap_cycles = {vm.id: vm.charged_cycles for vm in cluster.all_vms()}
 
         revenue = sum(w.breakdown.revenue for w in windows)
         penalty = sum(w.breakdown.penalty for w in windows)
@@ -593,14 +583,6 @@ class Simulation:
         )
 
     # -- helpers -----------------------------------------------------------
-
-    def _apply(self, action: Action, now: float) -> None:
-        if action is Action.LAUNCH:
-            self.cluster.launch_vm(now)
-        elif action is Action.RELEASE:
-            victim = select_release_victim(self.cluster, now)
-            if victim is not None:  # release of the last VM is refused
-                self.cluster.release_vm(victim, now)
 
     def _settle(
         self,

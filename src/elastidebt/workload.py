@@ -38,21 +38,13 @@ class ProfileError(ValueError):
 class Request:
     """One incoming job.
 
-    ``start_time``/``finish_time`` are filled in by the primary simulation
-    when it dispatches the request: FIFO service fixes both then.
+    Simulations only read requests; the schedule FIFO service gives a
+    request is kept by the VM it was dispatched to.
     """
 
     id: int
     arrival_time: float
     work: float
-    start_time: float | None = None
-    finish_time: float | None = None
-
-    @property
-    def response_time(self) -> float | None:
-        if self.finish_time is None:
-            return None
-        return self.finish_time - self.arrival_time
 
 
 @dataclass
@@ -145,8 +137,8 @@ def generate_trace(profile: RateProfile, duration: float, seed: int) -> Workload
     instantaneous rate.  Identical (profile, duration, seed) inputs yield
     identical traces.
     """
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    if not 0 < duration < math.inf:
+        raise ValueError(f"duration must be positive and finite, got {duration}")
     profile.validate()
 
     if profile.arrival_mode == "deterministic":

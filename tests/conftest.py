@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from elastidebt.policies import ACTION_ORDER, Action
-from elastidebt.sim import ClusterObservation
+from elastidebt.sim import Cluster, ClusterObservation, SimConfig
 from elastidebt.workload import Request, WorkloadTrace
 
 
@@ -36,6 +36,16 @@ def make_trace(arrivals: list[tuple[float, float]], duration: float | None = Non
     if duration is None:
         duration = reqs[-1].arrival_time if reqs else 0.0
     return WorkloadTrace(requests=reqs, duration=duration)
+
+
+def dispatch_alone(work: float) -> tuple[float, float, bool]:
+    """``(start, finish, ok)`` of one request for ``work`` MI arriving at t=0
+    on a lone idle default VM."""
+    cluster = Cluster(SimConfig())
+    vm_id = cluster.launch_vm(0.0, initial=True)
+    cluster.dispatch(Request(0, 0.0, work), 0.0)
+    (job,) = cluster.active[vm_id].jobs
+    return job
 
 
 class FixedPolicy:

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
+from conftest import dispatch_alone
 from elastidebt.economics import (
-    classify_request,
     compute_debt,
     compute_utility,
     counterfactual_ideal,
@@ -15,11 +15,11 @@ from elastidebt.workload import default_profile, generate_trace
 
 
 def test_classify_examples():
-    assert classify_request(0.2, 2.0) is True
-    assert classify_request(2.0, 2.0) is False  # strict boundary
-    assert classify_request(5.0, 2.0) is False
-    with pytest.raises(ValueError):
-        classify_request(-0.1, 2.0)
+    # a 10 MIPS VM answers 2, 20 and 50 MI in 0.2, 2.0 and 5.0 s against the
+    # 2 s SLA: only a response strictly below the limit succeeds
+    assert dispatch_alone(2.0) == (0.0, 0.2, True)
+    assert dispatch_alone(20.0) == (0.0, 2.0, False)  # strict boundary
+    assert dispatch_alone(50.0) == (0.0, 5.0, False)
 
 
 def test_compute_utility_hand_example():

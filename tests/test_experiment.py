@@ -1,7 +1,10 @@
+import math
 import os
+from dataclasses import fields
 
 import pytest
 
+from conftest import FixedPolicy, make_trace
 from elastidebt.cli import main as cli_main
 from elastidebt.experiment import (
     ConfigError,
@@ -18,6 +21,8 @@ from elastidebt.experiment import (
     load_summary,
     run_experiment,
 )
+from elastidebt.policies import LearningParams, VotingParams
+from elastidebt.sim import SimConfig, run_simulation
 from elastidebt.workload import RateProfile, Segment
 
 
@@ -105,11 +110,57 @@ def test_config_file_round_trip(tmp_path):
     assert cfg.profile is not None and len(cfg.profile.segments) == 1
 
 
+# a non-default value for every parameter field
+NON_DEFAULT = {
+    "spin_up": 90.5,
+    "cool_down": 240.0,
+    "billing_cycle": 3600.0,
+    "decision_interval": 30.0,
+    "vm_capacity": 12.5,
+    "sla_response_limit": 1.5,
+    "price_per_request": 0.002,
+    "penalty_per_request": 0.003,
+    "vm_cost_per_cycle": 0.05,
+    "initial_vms": 3,
+    "billing_anchor": "at_ready",
+    "sla_mode": "floor",
+    "sla_target": 0.9,
+    "cycle_proximity": 45.0,
+    "alpha_initial": 0.8,
+    "alpha_decay_step": 0.5,
+    "alpha_min": 0.05,
+    "gamma": 0.9,
+    "epsilon": 0.25,
+    "alpha_decay": "multiplicative",
+    "lower_cpu": 0.2,
+    "upper_cpu": 0.9,
+}
+
+
+def test_every_parameter_field_loads_with_its_type(tmp_path):
+    cfg = default_config()
+    sections = {f.name: sec for sec in (cfg.sim, cfg.learning, cfg.voting) for f in fields(sec)}
+    assert set(NON_DEFAULT) == set(sections)
+    for key, value in NON_DEFAULT.items():
+        assert getattr(sections[key], key) != value, key
+    cfg_file = tmp_path / "all.cfg"
+    lines = [f"{key} = {value}\n" for key, value in NON_DEFAULT.items()]
+    cfg_file.write_text("trace = t.trace\n" + "".join(lines))
+    loaded = load_config(str(cfg_file))
+    loaded.validate()
+    for sec in (loaded.sim, loaded.learning, loaded.voting):
+        for f in fields(sec):
+            value = getattr(sec, f.name)
+            assert value == NON_DEFAULT[f.name], f.name
+            assert type(value) is type(NON_DEFAULT[f.name]), f.name
+
+
 def test_config_file_errors(tmp_path):
     f = tmp_path / "bad.cfg"
-    f.write_text("unknown_knob = 3\n")
-    with pytest.raises(ConfigError, match="unknown key"):
-        load_config(str(f))
+    for key in ("unknown_knob", "work_per_request", "agreement"):
+        f.write_text(f"{key} = 3\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(str(f))
     f.write_text("seed = banana\n")
     with pytest.raises(ConfigError):
         load_config(str(f))
@@ -122,6 +173,32 @@ def test_invalid_parameters_fail_before_any_simulation():
     cfg.sim.spin_up = -1.0
     with pytest.raises(ValueError):
         run_experiment(cfg)
+
+
+SECTIONS = {"sim": SimConfig(), "learning": LearningParams(), "voting": VotingParams()}
+FLOAT_FIELDS = [
+    (section, f.name)
+    for section, params in SECTIONS.items()
+    for f in fields(params)
+    if isinstance(getattr(params, f.name), float)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("section,name", FLOAT_FIELDS)
+def test_non_finite_parameters_rejected(section, name, value):
+    cfg = default_config()
+    setattr(getattr(cfg, section), name, value)
+    with pytest.raises(ValueError, match=name):
+        run_experiment(cfg)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_horizon_rejected(value):
+    with pytest.raises(ConfigError, match="horizon"):
+        run_experiment(default_config(horizon=value))
+    with pytest.raises(ValueError, match="horizon"):
+        run_simulation(SimConfig(), make_trace([]), FixedPolicy(), value)
 
 
 # -- run_experiment --------------------------------------------------------------
@@ -159,14 +236,12 @@ def test_paired_policies_share_the_workload(monkeypatch):
     assert da.totals.submitted == vo.totals.submitted
     assert da.totals.policy == "debt-aware"
     assert vo.totals.policy == "voting"
-    # one trace, but each run writes start and finish into its own requests
+    # one trace generation, one request list read by both runs
     assert len(generated) == 1
-    da_reqs, vo_reqs = da.result.requests, vo.result.requests
-    assert [(r.id, r.arrival_time, r.work) for r in da_reqs] == [
-        (r.id, r.arrival_time, r.work) for r in vo_reqs
-    ]
-    assert not any(a is b for a, b in zip(da_reqs, vo_reqs))
-    assert [r.start_time for r in da_reqs] != [r.start_time for r in vo_reqs]
+    assert da.result.requests is vo.result.requests
+    # the runs provision differently, and neither writes into the requests
+    assert [r.ready_vms for r in da.rows] != [r.ready_vms for r in vo.rows]
+    assert da.result.requests == generate(*generated[0]).requests
 
 
 def test_wall_clock_is_recorded():
@@ -303,6 +378,14 @@ def test_cli_error_leaves_no_partial_output(tmp_path, capsys):
     assert rc == 1
     assert not out_dir.exists()
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_rejects_non_finite_parameter(tmp_path, capsys):
+    cfg = write_cli_config(tmp_path, extra="decision_interval = nan\n")
+    out_dir = tmp_path / "never"
+    assert cli_main(["run", "--config", str(cfg), "--out", str(out_dir)]) == 1
+    assert not out_dir.exists()
+    assert "decision_interval must be finite" in capsys.readouterr().err
 
 
 def test_cli_rejects_bad_trace_path(tmp_path, capsys):

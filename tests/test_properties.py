@@ -1,16 +1,19 @@
 """Property tests over small random configs, fleets and arrival lists.
 
-Spin-up, billing cycles, anchors and windows are whole seconds so that
-billing boundaries sum exactly: the cluster adds one cycle per boundary
-while the oracle multiplies.
+In the replay tests spin-up, billing cycles, anchors and windows are whole
+seconds so that billing boundaries sum exactly: the cluster adds one cycle
+per boundary while the oracle multiplies.
 """
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from elastidebt.policies import ACTION_ORDER
-from elastidebt.sim import Cluster, SimConfig
+from conftest import FixedPolicy, make_trace
+from elastidebt.policies import ACTION_ORDER, DebtAwarePolicy
+from elastidebt.sim import Cluster, SimConfig, run_simulation
 from test_acceptance import build_checkpoint, oracle_utility
 
 T0 = 600.0
@@ -100,3 +103,68 @@ def test_advancing_in_steps_changes_nothing(conserving, scenario, steps):
         return cluster.submitted, cluster.successes, cluster.failures, vms
 
     assert outcome(stepped) == outcome(whole)
+
+
+class RandomPolicy(FixedPolicy):
+    """Seeded uniform choice among all actions; valued retrospectively."""
+
+    def __init__(self, seed):
+        self.rng = random.Random(seed)
+
+    def decide(self, obs):
+        return self.rng.choice(ACTION_ORDER)
+
+
+@st.composite
+def runs(draw):
+    """A config, a horizon that is no multiple of the decision interval,
+    arrivals up to the horizon and a policy."""
+    interval = float(draw(st.integers(5, 300)))
+    # zero whole intervals puts the first decision point past the horizon
+    horizon = interval * (draw(st.integers(0, 8)) + draw(st.floats(0.01, 0.99)))
+    cfg = SimConfig(
+        spin_up=draw(st.floats(1.0, 400.0)),
+        # a cool-down shorter than the interval lets every decision point adapt
+        cool_down=draw(st.floats(1.0, 600.0)),
+        # billing cycles may be shorter than the spin-up
+        billing_cycle=draw(st.floats(5.0, 600.0)),
+        decision_interval=interval,
+        initial_vms=draw(st.integers(1, 4)),
+        billing_anchor=draw(st.sampled_from(["at_request", "at_ready"])),
+        sla_mode=draw(st.sampled_from(["per_request", "floor"])),
+    )
+    arrival = st.floats(0.0, horizon)
+    work = st.sampled_from([0.5, 2.0, 20.0, 100.0])
+    arrivals = draw(st.lists(st.tuples(arrival, work), max_size=60))
+    seed = draw(st.integers(0, 2**16))
+    policy = draw(st.sampled_from([DebtAwarePolicy, RandomPolicy]))
+    return cfg, horizon, arrivals, policy(seed=seed)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(runs())
+def test_full_run_invariants(run):
+    cfg, horizon, arrivals, policy = run
+    decided = []
+    decide = policy.decide
+
+    def logged(obs):
+        decided.append(obs.time)
+        return decide(obs)
+
+    policy.decide = logged
+    result = run_simulation(cfg, make_trace(arrivals), policy, horizon)
+    # every decision is settled once, and none is taken at the horizon
+    assert decided == [rec.time for rec in result.records]
+    assert all(t < horizon for t in decided)
+    windows = result.windows
+    assert windows[0].start == 0.0 and windows[-1].end == horizon
+    assert all(prev.end == cur.start for prev, cur in zip(windows, windows[1:]))
+    assert result.submitted == len(arrivals)
+    t = result.totals
+    assert t.successes + t.failures + result.in_flight_at_end == result.submitted
+    assert sum(w.breakdown.utility for w in windows) == result.aggregate_utility
+    for rec in result.records:
+        assert rec.debt <= 0.0
+        best = max(rec.per_action_utilities.values())
+        assert (rec.debt == 0.0) == (rec.per_action_utilities[rec.action_taken] == best)

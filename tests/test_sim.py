@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import FixedPolicy, make_trace
+from conftest import FixedPolicy, dispatch_alone, make_trace
 from elastidebt.policies import Action
 from elastidebt.sim import (
     Checkpoint,
@@ -13,7 +13,6 @@ from elastidebt.sim import (
     billing_cycles_charged,
     run_simulation,
     select_release_victim,
-    service_time,
 )
 from elastidebt.workload import Request
 
@@ -22,14 +21,14 @@ def make_vm(vm_id=0, capacity=10.0, requested=0.0, ready=0.0, anchor=0.0):
     return VmInstance(vm_id, capacity, requested, ready, anchor)
 
 
-# -- service time ------------------------------------------------------------
+# -- execution time ----------------------------------------------------------
 
 
-def test_service_time_examples():
-    vm = make_vm(capacity=10.0)
-    assert service_time(Request(0, 0.0, 2.0), vm) == 0.2
-    assert service_time(Request(0, 0.0, 10.0), vm) == 1.0
-    assert service_time(Request(0, 0.0, 5.0), vm) == 0.5
+def test_execution_time_is_work_over_capacity():
+    # 10 MIPS VM: an idle VM starts the request on arrival
+    assert dispatch_alone(2.0)[:2] == (0.0, 0.2)
+    assert dispatch_alone(10.0)[:2] == (0.0, 1.0)
+    assert dispatch_alone(5.0)[:2] == (0.0, 0.5)
 
 
 # -- dispatch ----------------------------------------------------------------
@@ -38,6 +37,20 @@ def test_service_time_examples():
 def dispatch_all(cluster, now, *works):
     """Dispatch one request per work size at ``now``; returns the chosen VM ids."""
     return [cluster.dispatch(Request(100 + i, now, work), now) for i, work in enumerate(works)]
+
+
+def recorded_jobs(cluster):
+    """Log ``(vm_id, start, finish, ok)`` of every request the cluster dispatches."""
+    log = []
+    dispatch = cluster.dispatch
+
+    def recording(req, now):
+        vm_id = dispatch(req, now)
+        log.append((vm_id, *cluster.active[vm_id].jobs[-1]))
+        return vm_id
+
+    cluster.dispatch = recording
+    return log
 
 
 def test_dispatch_prefers_fewest_outstanding():
@@ -90,11 +103,12 @@ def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
     cluster.launch_vm(0.0, initial=True)
     pending = cluster.launch_vm(0.0)
     assert dispatch_all(cluster, 10.0, 2.0, 2.0) == [0, 1]
-    req = Request(0, 10.0, 2.0)
-    assert cluster.dispatch(req, 10.0) == pending
+    assert cluster.dispatch(Request(0, 10.0, 2.0), 10.0) == pending
     # it waits for the VM to be ready, so its response misses the SLA
-    assert list(cluster.active[pending].jobs) == [(105.0, req.finish_time, False)]
-    assert req.start_time == cluster.active[pending].ready_at == 105.0
+    vm = cluster.active[pending]
+    ((start, _, ok),) = vm.jobs
+    assert start == vm.ready_at == 105.0
+    assert ok is False
 
 
 def test_replay_cluster_keeps_active_in_id_order(monkeypatch):
@@ -124,11 +138,15 @@ def test_request_on_pending_vm_waits_for_ready():
     # on it and starts exactly at the ready transition
     cfg = SimConfig(initial_vms=1)
     cluster = Cluster(cfg)
-    cluster.launch_vm(0.0)  # not initial: spins up until 105
-    req = Request(0, 10.0, 2.0)
-    cluster.advance(500.0, [req], 0)
-    assert req.start_time == 105.0
-    assert req.finish_time == pytest.approx(105.2)
+    vm_id = cluster.launch_vm(0.0)  # not initial: spins up until 105
+    arrivals = [Request(0, 10.0, 2.0)]
+    cluster.advance(10.0, arrivals, 0)
+    ((start, finish, _),) = cluster.active[vm_id].jobs
+    assert start == 105.0
+    assert finish == pytest.approx(105.2)
+    cluster.advance(500.0, arrivals, 1)
+    assert cluster.failures == 1
+    assert cluster.active[vm_id].is_idle()
 
 
 # -- launch / release --------------------------------------------------------
@@ -180,17 +198,19 @@ def test_released_vm_drains_queue_and_counts_responses():
     reqs = [Request(0, 0.0, 2.0), Request(1, 0.0, 2.0), Request(2, 0.0, 2.0)]
     cluster.advance(0.0, reqs, 0)  # one executing, two queued
     assert cluster.active[vm_id].outstanding() == 3
+    finishes = [finish for _, finish, _ in cluster.active[vm_id].jobs]
+    assert finishes == pytest.approx([0.2, 0.4, 0.6])
     other = cluster.launch_vm(0.0, initial=True)
     cluster.release_vm(vm_id, 0.05)
     cluster.advance(100.0, reqs, 3)
-    assert [r.finish_time for r in reqs] == pytest.approx([0.2, 0.4, 0.6])
     assert cluster.successes == 3
     assert cluster.retired[vm_id].is_idle()
     # released VM accepts no new work
-    late = Request(3, 150.0, 2.0)
-    cluster.advance(200.0, [late], 0)
-    assert late.start_time == 150.0
-    assert cluster.retired[vm_id].last_finish == reqs[-1].finish_time
+    late = [Request(3, 150.0, 2.0)]
+    cluster.advance(150.0, late, 0)
+    assert [start for start, _, _ in cluster.active[other].jobs] == [150.0]
+    cluster.advance(200.0, late, 1)
+    assert cluster.retired[vm_id].last_finish == finishes[-1]
     assert cluster.successes == 4
     # the last active VM cannot be released
     with pytest.raises(ValueError, match="last active VM"):
@@ -292,9 +312,12 @@ def test_fifo_queueing_hand_trace(maintain_policy):
     # only the 2.0 s completion misses the strict < 2 s SLA
     cfg = SimConfig(initial_vms=1)
     trace = make_trace([(0.0, 2.0)] * 10, duration=10.0)
-    result = run_simulation(cfg, trace, maintain_policy, 600.0)
-    finishes = sorted(r.finish_time for r in trace.requests)
+    sim = Simulation(cfg)
+    jobs = recorded_jobs(sim.cluster)
+    result = sim.run(trace, maintain_policy, 600.0)
+    finishes = sorted(finish for _, _, finish, _ in jobs)
     assert finishes == pytest.approx([0.2 * k for k in range(1, 11)])
+    assert [ok for *_, ok in jobs] == [True] * 9 + [False]
     assert result.totals.failures == 1
     assert result.totals.successes == 9
 
@@ -410,17 +433,10 @@ def test_billed_cycles_cover_busy_span():
     horizon = 1500.0
     trace = generate_trace(default_profile(), horizon, seed=2)
     sim = Simulation(cfg)
-    jobs: dict[int, list[tuple[float, float]]] = {}  # vm id -> [(start, finish)]
-    dispatch = sim.cluster.dispatch
-
-    def recording(req, now):
-        vm_id = dispatch(req, now)
-        start, finish, _ = sim.cluster.active[vm_id].jobs[-1]
-        jobs.setdefault(vm_id, []).append((start, finish))
-        return vm_id
+    jobs = recorded_jobs(sim.cluster)
 
     def busy_span(vm_id, by):
-        done = [(s, f) for s, f in jobs[vm_id] if f <= by]
+        done = [(s, f) for v, s, f, _ in jobs if v == vm_id and f <= by]
         return done[0][0], done[-1][1]
 
     observe = sim._observe
@@ -438,12 +454,11 @@ def test_billed_cycles_cover_busy_span():
                 assert vm.charged_cycles + 1 >= math.ceil(busy / cfg.billing_cycle - 1e-9)
         return observe(now, win_start, win_succ, win_fail)
 
-    sim.cluster.dispatch = recording
     sim._observe = checked
     sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
     assert interior == [60.0 + 120.0 * k for k in range(12)]
     vms = {vm.id: vm for vm in sim.cluster.all_vms()}
-    assert len(jobs) == len(vms) == cfg.initial_vms
+    assert len({vm_id for vm_id, *_ in jobs}) == len(vms) == cfg.initial_vms
     for vm_id, vm in vms.items():
         first_start, last_finish = busy_span(vm_id, horizon)
         busy = last_finish - first_start

@@ -69,8 +69,9 @@ def test_deterministic_count_tracks_rate_integral():
 
 
 def test_generate_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        generate_trace(constant_profile(1.0), 0.0, seed=0)
+    for duration in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="duration"):
+            generate_trace(constant_profile(1.0), duration, seed=0)
     with pytest.raises(ProfileError):
         generate_trace(RateProfile(segments=[]), 10.0, seed=0)
 
