@@ -59,7 +59,7 @@ print("(the launched VM bills from its request time even while booting)")
 
 # --- 3. partial usage waste: release mid-cycle still pays the full cycle -----
 
-vm = VmInstance(0, 10.0, 0.0, 0.0, anchor=0.0)
+vm = VmInstance(0, 0.0, anchor=0.0)
 for release_at in (290.0, 300.0, 310.0, 420.0):
     vm.released_at = release_at
     cycles = billing_cycles_charged(vm, 21600.0, 300.0)

@@ -6,6 +6,13 @@ adaptation is the (non-positive) gap between the utility its window actually
 produced and the best utility any of the candidate actions would have
 produced, found by replaying the window from a checkpoint under each
 discarded action.
+
+The action the primary run took is not replayed where the primary run has
+already measured it.  Retrospectively, its window is the one the primary
+run just closed.  Proactively, its window runs past the next decision
+point: the primary run's own span up to that point is joined with a
+MAINTAIN fork of the next checkpoint over the rest, by adding raw
+``WindowCounts`` and computing the utility once.
 """
 
 from __future__ import annotations
@@ -15,9 +22,49 @@ from dataclasses import dataclass, field
 from .policies import ACTION_ORDER, Action, StateKey
 
 
+@dataclass(frozen=True)
+class WindowCounts:
+    """Raw outcome of a span: completed requests that met and missed the SLA,
+    and the billing cycles charged in it.
+
+    Counts of consecutive spans add up; utilities do not, because ``floor``
+    SLA mode penalizes only the failures beyond an allowance of the whole
+    window.  Spans are therefore joined here and valued once.
+    """
+
+    successes: int
+    failures: int
+    cycles: int
+
+    def __add__(self, other: WindowCounts) -> WindowCounts:
+        return WindowCounts(
+            self.successes + other.successes,
+            self.failures + other.failures,
+            self.cycles + other.cycles,
+        )
+
+    def __sub__(self, other: WindowCounts) -> WindowCounts:
+        return WindowCounts(
+            self.successes - other.successes,
+            self.failures - other.failures,
+            self.cycles - other.cycles,
+        )
+
+    def utility(self, config, window: tuple[float, float]) -> UtilityBreakdown:
+        """The span's utility under ``config``'s SLA mode and prices."""
+        x_f = penalized_failures(self.successes, self.failures, config.sla_mode, config.sla_target)
+        breakdown = compute_utility(self.successes, x_f, (self.cycles,), config, window)
+        breakdown.counts = self
+        return breakdown
+
+
 @dataclass
 class UtilityBreakdown:
-    """Revenue, penalty and operating cost of one monitoring window."""
+    """Revenue, penalty and operating cost of one monitoring window.
+
+    ``failures`` are the penalized ones; ``counts`` holds the raw counts
+    the breakdown was computed from, when it was computed from counts.
+    """
 
     revenue: float
     penalty: float
@@ -26,6 +73,7 @@ class UtilityBreakdown:
     window: tuple[float, float] = (0.0, 0.0)
     successes: int = 0
     failures: int = 0
+    counts: WindowCounts | None = None
 
 
 @dataclass
@@ -99,9 +147,12 @@ def counterfactual_ideal(
 
     ``checkpoint`` must expose ``replay(action, window) -> UtilityBreakdown``
     over a private clone of the simulator state, so the primary run is never
-    perturbed.  Candidates whose window utility is already ``measured``
-    (the action the primary run took, over the window it just ran) take
-    that value and are not replayed.
+    perturbed.  Candidates whose window utility is already ``measured`` take
+    that value and are not replayed: the action the primary run took, valued
+    from the window it just ran (retrospective) or from that window joined
+    with a MAINTAIN fork of the next checkpoint (proactive).  A checkpoint
+    resumes the MAINTAIN fork it ran for the previous adaptation when
+    MAINTAIN is replayed here, so that candidate costs only the extension.
     """
     if not candidate_actions:
         raise ValueError("candidate action set is empty")

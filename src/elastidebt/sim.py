@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields
 
 from . import economics
-from .economics import AdaptationRecord, UtilityBreakdown, compute_utility, penalized_failures
+from .economics import AdaptationRecord, UtilityBreakdown, WindowCounts
 from .policies import ACTION_ORDER, Action, StateKey, discretize_state
 from .workload import Request, WorkloadTrace
 
@@ -84,7 +84,7 @@ class SimConfig:
 
 
 class VmInstance:
-    """One virtual machine: capacity, lifecycle timestamps and FIFO schedule.
+    """One virtual machine: lifecycle timestamps and FIFO schedule.
 
     ``jobs`` holds ``(start, finish, ok)`` for every request assigned to the
     VM whose completion the cluster has not counted yet, in FIFO order;
@@ -97,8 +97,6 @@ class VmInstance:
 
     __slots__ = (
         "id",
-        "capacity",
-        "requested_at",
         "ready_at",
         "released_at",
         "anchor",
@@ -109,10 +107,8 @@ class VmInstance:
         "charged_cycles",
     )
 
-    def __init__(self, vm_id: int, capacity: float, requested_at: float, ready_at: float, anchor: float):
+    def __init__(self, vm_id: int, ready_at: float, anchor: float):
         self.id = vm_id
-        self.capacity = capacity
-        self.requested_at = requested_at
         self.ready_at = ready_at
         self.released_at: float | None = None
         self.anchor = anchor
@@ -130,7 +126,7 @@ class VmInstance:
 
     def clone(self) -> VmInstance:
         """Same lifecycle, schedule and next boundary; counters start at zero."""
-        vm = VmInstance(self.id, self.capacity, self.requested_at, self.ready_at, self.anchor)
+        vm = VmInstance(self.id, self.ready_at, self.anchor)
         vm.released_at = self.released_at
         vm.jobs = deque(self.jobs)
         vm.last_finish = self.last_finish
@@ -223,6 +219,7 @@ class Cluster:
         self.submitted = 0
         self.successes = 0
         self.failures = 0
+        self._capacity = config.vm_capacity
         self._sla_limit = config.sla_response_limit - _EPS
 
     # -- provisioning ------------------------------------------------------
@@ -232,11 +229,11 @@ class Cluster:
         self.next_vm_id += 1
         if initial:
             # pre-existing fleet: already running and billed from t=0
-            vm = VmInstance(vm_id, self.config.vm_capacity, now, now, now)
+            vm = VmInstance(vm_id, now, now)
         else:
             ready = now + self.config.spin_up
             anchor = now if self.config.billing_anchor == "at_request" else ready
-            vm = VmInstance(vm_id, self.config.vm_capacity, now, ready, anchor)
+            vm = VmInstance(vm_id, ready, anchor)
         vm.next_cycle = vm.anchor + self.config.billing_cycle
         self.active[vm_id] = vm
         return vm_id
@@ -271,6 +268,11 @@ class Cluster:
     def outstanding_requests(self) -> int:
         return sum(len(vm.jobs) for vms in (self.active, self.retired) for vm in vms.values())
 
+    def counts(self) -> WindowCounts:
+        """Requests counted and billing cycles charged so far."""
+        vms = (*self.active.values(), *self.retired.values())
+        return WindowCounts(self.successes, self.failures, sum(vm.charged_cycles for vm in vms))
+
     # -- request flow ------------------------------------------------------
 
     def dispatch(self, req: Request, now: float) -> int:
@@ -302,7 +304,7 @@ class Cluster:
                     vm, load = cand, len(jobs)
             # a busy VM's last finish is after now and after it turned ready
             start = vm.last_finish
-        finish = start + req.work / vm.capacity
+        finish = start + req.work / self._capacity
         vm.jobs.append((start, finish, finish - req.arrival_time < self._sla_limit))
         vm.last_finish = finish
         return vm.id
@@ -350,10 +352,19 @@ class Cluster:
 class Checkpoint:
     """Replayable snapshot of the cluster at a decision point.
 
-    ``replay`` clones the snapshot into a private cluster, applies one
-    candidate action, runs the window with no further adaptations and
+    ``replay`` clones the snapshot into a private cluster (a fork), applies
+    one candidate action, runs the window with no further adaptations and
     returns the window's utility.  Request objects are shared read-only;
     nothing in the primary run is modified.
+
+    The last MAINTAIN fork stays paused where its replay stopped, and a
+    later MAINTAIN replay that runs at least as far resumes it.  Advancing
+    in steps gives the same counts as advancing at once, so a replay's
+    result never depends on earlier calls.  Proactive valuation relies on
+    this: the checkpoint at decision k+1 first runs MAINTAIN to the end of
+    adaptation k's window, which joined with the primary run's window
+    values the action taken at k; adaptation k+1 then values MAINTAIN by
+    extending that fork.
     """
 
     def __init__(
@@ -369,6 +380,7 @@ class Checkpoint:
         self.arrivals = arrivals
         self.arrival_idx = arrival_idx
         self.next_vm_id = cluster.next_vm_id
+        self._paused: tuple[Cluster, int, float] | None = None  # fork, arrival index, time
         cycle = config.billing_cycle
         self.vm_snaps: list[VmInstance] = []
         for vm in cluster.all_vms():
@@ -381,21 +393,29 @@ class Checkpoint:
             snap.next_cycle = vm.anchor + k * cycle
             self.vm_snaps.append(snap)
 
-    def replay(self, action: Action, window: float) -> UtilityBreakdown:
-        cfg = self.config
-        cluster = Cluster(cfg)
-        cluster.next_vm_id = self.next_vm_id
-        for snap in self.vm_snaps:
-            vms = cluster.active if snap.released_at is None else cluster.retired
-            vms[snap.id] = snap.clone()
-        cluster.apply(action, self.time)
+    def replay(self, action: Action, window: float, start: float | None = None) -> UtilityBreakdown:
+        """Utility of ``action`` from the checkpoint to ``start + window``.
 
-        end = self.time + window
-        cluster.advance(end, self.arrivals, self.arrival_idx)
-
-        x_f = penalized_failures(cluster.successes, cluster.failures, cfg.sla_mode, cfg.sla_target)
-        cycles = [vm.charged_cycles for vm in cluster.all_vms() if vm.charged_cycles > 0]
-        return compute_utility(cluster.successes, x_f, cycles, cfg, window=(self.time, end))
+        ``start`` defaults to the checkpoint's time.  An earlier start
+        carries on a window that opened before the checkpoint; the result
+        then counts only the span after the checkpoint.
+        """
+        end = (self.time if start is None else start) + window
+        paused = self._paused if action is Action.MAINTAIN else None
+        if paused is not None and paused[2] <= end:
+            cluster, idx, _ = paused
+        else:
+            cluster = Cluster(self.config)
+            cluster.next_vm_id = self.next_vm_id
+            for snap in self.vm_snaps:
+                vms = cluster.active if snap.released_at is None else cluster.retired
+                vms[snap.id] = snap.clone()
+            cluster.apply(action, self.time)
+            idx = self.arrival_idx
+        idx = cluster.advance(end, self.arrivals, idx)
+        if action is Action.MAINTAIN:
+            self._paused = (cluster, idx, end)
+        return cluster.counts().utility(self.config, window=(self.time, end))
 
 
 @dataclass
@@ -487,8 +507,8 @@ class Simulation:
         cumulative = 0.0
         idx = 0
         win_start = 0.0
-        snap_submitted = snap_succ = snap_fail = 0
-        snap_cycles: dict[int, int] = {vm.id: 0 for vm in cluster.active.values()}
+        snap_submitted = 0
+        snap = cluster.counts()
         last_adaptation = -_INF
         pending: _Pending | None = None
         learns = getattr(policy, "learns", False)
@@ -504,23 +524,23 @@ class Simulation:
             # close the window [win_start, t]
             self._flush_busy(t)
             win_submitted = cluster.submitted - snap_submitted
-            win_succ = cluster.successes - snap_succ
-            win_fail = cluster.failures - snap_fail
-            cycles_by_vm = self._window_cycles(snap_cycles)
-            obs = self._observe(t, win_start, win_succ, win_fail)
-            x_f = penalized_failures(win_succ, win_fail, cfg.sla_mode, cfg.sla_target)
-            breakdown = compute_utility(
-                win_succ, x_f, list(cycles_by_vm.values()), cfg, window=(win_start, t)
-            )
+            counts = cluster.counts() - snap
+            obs = self._observe(t, win_start, counts.successes, counts.failures)
+            breakdown = counts.utility(cfg, window=(win_start, t))
             cumulative += breakdown.utility
+            # the cluster before this decision point's action, which the
+            # pending adaptation's valuation forks as well
+            checkpoint = None
+            if record_debt and not final:
+                checkpoint = Checkpoint(cfg, t, cluster, requests, idx)
 
             record = None
             if pending is not None:
                 # the horizon billing true-up has no replay analogue, so the
                 # final window's measured utility is not comparable
-                window_utility = None if final else breakdown.utility
+                measured = None if final else breakdown
                 record = self._settle(
-                    pending, t - pending.time, debt_mode, record_debt, window_utility
+                    pending, t - pending.time, debt_mode, record_debt, measured, checkpoint
                 )
                 records.append(record)
                 if record_debt and not final:
@@ -537,7 +557,6 @@ class Simulation:
                 raise TypeError(f"policy returned {action!r}, not an Action")
             if action not in candidates:
                 raise ValueError(f"policy chose {action} outside its candidate set")
-            checkpoint = Checkpoint(cfg, t, cluster, requests, idx) if record_debt else None
             live_before = len(cluster.active)
             cluster.apply(action, t)
             pending = _Pending(
@@ -554,9 +573,7 @@ class Simulation:
             for vm in cluster.active.values():
                 vm.busy_in_window = 0.0
             snap_submitted = cluster.submitted
-            snap_succ = cluster.successes
-            snap_fail = cluster.failures
-            snap_cycles = {vm.id: vm.charged_cycles for vm in cluster.all_vms()}
+            snap = cluster.counts()
 
         revenue = sum(w.breakdown.revenue for w in windows)
         penalty = sum(w.breakdown.penalty for w in windows)
@@ -590,10 +607,14 @@ class Simulation:
         elapsed: float,
         debt_mode: str,
         record_debt: bool,
-        window_utility: float | None,
+        measured: UtilityBreakdown | None,
+        checkpoint: Checkpoint | None,
     ) -> AdaptationRecord:
-        """Value the pending adaptation; ``window_utility`` is what the primary
-        run measured over the elapsed window, when that is comparable."""
+        """Value the pending adaptation.
+
+        ``measured`` is the primary run's window since the adaptation, when
+        that is comparable, and ``checkpoint`` the cluster where it closed.
+        """
         if not record_debt:
             return AdaptationRecord(
                 time=pending.time,
@@ -603,16 +624,24 @@ class Simulation:
                 u_ideal=0.0,
                 debt=0.0,
             )
-        measured = None
+        cfg = self.config
+        known = None
         if debt_mode == "proactive":
-            window = self.config.decision_interval + self.config.billing_cycle
+            window = cfg.decision_interval + cfg.billing_cycle
+            if measured is not None and pending.time + window > checkpoint.time:
+                # the primary run held the taken action up to the next
+                # checkpoint; MAINTAIN from there runs the rest of its window
+                rest = checkpoint.replay(Action.MAINTAIN, window, start=pending.time)
+                joined = measured.counts + rest.counts
+                span = (pending.time, rest.window[1])
+                known = {pending.action: joined.utility(cfg, span).utility}
         else:
             window = elapsed
-            if window_utility is not None:
+            if measured is not None:
                 # the primary run just ran the taken action over this window
-                measured = {pending.action: window_utility}
+                known = {pending.action: measured.utility}
         u_ideal, per_action = economics.counterfactual_ideal(
-            pending.checkpoint, pending.candidates, window, measured
+            pending.checkpoint, pending.candidates, window, known
         )
         u_actual = per_action[pending.action]
         return AdaptationRecord(
@@ -665,14 +694,6 @@ class Simulation:
         for vm in self.cluster.active.values():
             if vm.jobs and vm.jobs[0][0] < now:
                 vm.busy_in_window += now - max(vm.jobs[0][0], mark)
-
-    def _window_cycles(self, snap: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for vm in self.cluster.all_vms():
-            delta = vm.charged_cycles - snap.get(vm.id, 0)
-            if delta > 0:
-                out[vm.id] = delta
-        return out
 
     def _true_up_billing(self, horizon: float) -> None:
         # cycles started but whose boundary falls past the horizon

@@ -89,20 +89,25 @@ class RateProfile:
         return 0.0
 
     def validate(self) -> None:
+        # range checks are written so that NaN fails them
         if not self.segments:
             raise ProfileError("profile has no segments")
         if self.arrival_mode not in ("deterministic", "poisson"):
             raise ProfileError(f"unknown arrival_mode {self.arrival_mode!r}")
-        if self.work_mi <= 0:
-            raise ProfileError("work_mi must be positive")
+        if not 0.0 < self.work_mi < math.inf:
+            raise ProfileError(f"work_mi must be positive and finite, got {self.work_mi}")
         prev_end = None
-        for seg in self.segments:
-            if seg.end <= seg.start:
-                raise ProfileError(f"segment [{seg.start}, {seg.end}] is empty or reversed")
-            if seg.base_rate < 0 or seg.amplitude < 0:
-                raise ProfileError("segment rates must be non-negative")
-            if seg.period <= 0:
-                raise ProfileError("segment period must be positive")
+        for i, seg in enumerate(self.segments):
+            if not -math.inf < seg.start < seg.end < math.inf:
+                raise ProfileError(
+                    f"segment {i} [{seg.start}, {seg.end}] is empty, reversed or not finite"
+                )
+            for name in ("base_rate", "amplitude"):
+                value = getattr(seg, name)
+                if not 0.0 <= value < math.inf:
+                    raise ProfileError(f"segment {i} {name} must be >= 0 and finite, got {value}")
+            if not 0.0 < seg.period < math.inf:
+                raise ProfileError(f"segment {i} period must be > 0 and finite, got {seg.period}")
             if prev_end is not None and not math.isclose(seg.start, prev_end):
                 raise ProfileError(f"segments not contiguous at t={prev_end}")
             prev_end = seg.end
@@ -193,6 +198,7 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
         lines = source
 
     requests: list[Request] = []
+    inf = math.inf
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -205,10 +211,15 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
             work = float(fields[1])
         except ValueError:
             raise TraceParseError(f"line {lineno}: non-numeric field in {line!r}") from None
-        if arrival < 0:
-            raise TraceValidationError(f"line {lineno}: negative arrival time {arrival}")
-        if work <= 0:
-            raise TraceValidationError(f"line {lineno}: non-positive work {work}")
+        # NaN fails both range checks
+        if not 0.0 <= arrival < inf:
+            raise TraceValidationError(
+                f"line {lineno}: arrival time must be non-negative and finite, got {arrival}"
+            )
+        if not 0.0 < work < inf:
+            raise TraceValidationError(
+                f"line {lineno}: work must be positive and finite, got {work}"
+            )
         requests.append(Request(id=0, arrival_time=arrival, work=work))
 
     requests.sort(key=lambda r: r.arrival_time)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
+import copy
+
 import pytest
 
 from elastidebt.policies import ACTION_ORDER, Action
-from elastidebt.sim import Cluster, ClusterObservation, SimConfig
+from elastidebt.sim import Checkpoint, Cluster, ClusterObservation, SimConfig
 from elastidebt.workload import Request, WorkloadTrace
 
 
@@ -46,6 +49,28 @@ def dispatch_alone(work: float) -> tuple[float, float, bool]:
     cluster.dispatch(Request(0, 0.0, work), 0.0)
     (job,) = cluster.active[vm_id].jobs
     return job
+
+
+@contextlib.contextmanager
+def captured_checkpoints():
+    """Yield a dict that maps each checkpoint time to an unreplayed copy of
+    the checkpoint built then; a direct replay of the copy shares nothing
+    with the forks the run made."""
+    captured: dict[float, Checkpoint] = {}
+    original = Checkpoint.__init__
+
+    def capturing(self, config, time, *args):
+        original(self, config, time, *args)
+        captured[time] = copy.copy(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Checkpoint, "__init__", capturing)
+        yield captured
+
+
+def direct_replays(checkpoint: Checkpoint, actions, window: float) -> dict[Action, float]:
+    """Each action's utility from a fresh fork of the checkpoint over ``window``."""
+    return {a: Checkpoint.replay(copy.copy(checkpoint), a, window).utility for a in actions}
 
 
 class FixedPolicy:

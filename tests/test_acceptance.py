@@ -109,7 +109,7 @@ def test_criterion_5_billing_semantics():
     cycle = 300.0
 
     def charged(release_t):
-        vm = VmInstance(0, 10.0, 0.0, 0.0, 0.0)
+        vm = VmInstance(0, 0.0, 0.0)
         vm.released_at = release_t
         return billing_cycles_charged(vm, 21600.0, cycle)
 
@@ -229,7 +229,7 @@ def oracle_utility(cfg, vm_specs, action, arrivals, t0, window):
 def build_checkpoint(cfg, vm_specs, arrivals, t0):
     cluster = Cluster(cfg)
     for spec in vm_specs:
-        vm = VmInstance(spec["id"], cfg.vm_capacity, spec["ready"], spec["ready"], spec["anchor"])
+        vm = VmInstance(spec["id"], spec["ready"], spec["anchor"])
         cluster.active[spec["id"]] = vm
     cluster.next_vm_id = max(spec["id"] for spec in vm_specs) + 1
     requests = [Request(i, at, work) for i, (at, work) in enumerate(arrivals)]

@@ -2,14 +2,14 @@ import random
 
 import pytest
 
-from conftest import dispatch_alone
+from conftest import captured_checkpoints, direct_replays, dispatch_alone
 from elastidebt.economics import (
     compute_debt,
     compute_utility,
     counterfactual_ideal,
     penalized_failures,
 )
-from elastidebt.policies import ACTION_ORDER, Action, VotingPolicy
+from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingPolicy
 from elastidebt.sim import Checkpoint, Cluster, SimConfig, run_simulation
 from elastidebt.workload import default_profile, generate_trace
 
@@ -184,3 +184,70 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
     assert checked >= 5
     # only the final window replays the taken action as well
     assert len(replays) == 3 * len(result.records) - checked
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"sla_mode": "floor"},
+        {"billing_anchor": "at_ready", "decision_interval": 45.0, "billing_cycle": 250.0},
+        {"cool_down": 400.0},  # every gap is at least the window: no joins
+    ],
+)
+def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
+    # the taken action's window is the primary run's span to the next
+    # checkpoint joined with a MAINTAIN fork from there, and MAINTAIN
+    # extends the fork the checkpoint already ran; both must equal a direct
+    # replay from the adaptation's own checkpoint, bit for bit
+    cfg = SimConfig(**overrides)
+    window = cfg.decision_interval + cfg.billing_cycle
+    replays = []
+    replay = Checkpoint.replay
+
+    def counting(self, action, span, start=None):
+        replays.append(action)
+        return replay(self, action, span, start)
+
+    forks = []
+    cluster_init = Cluster.__init__
+
+    def counting_forks(self, config):
+        forks.append(config)
+        cluster_init(self, config)
+
+    monkeypatch.setattr(Checkpoint, "replay", counting)
+    monkeypatch.setattr(Cluster, "__init__", counting_forks)
+    trace = generate_trace(default_profile(), 2400.0, seed=31)
+    with captured_checkpoints() as checkpoints:
+        result = run_simulation(cfg, trace, DebtAwarePolicy(seed=4), 2400.0)
+    monkeypatch.undo()
+    records = result.records
+    assert len(records) >= 5
+
+    joined = [
+        i for i in range(len(records) - 1) if records[i].time + window > records[i + 1].time
+    ]
+    # a record replays MAINTAIN when it is a candidate that was not taken,
+    # or in any window not joined; it resumes the fork the join before ran
+    resumed = [
+        i + 1
+        for i in joined
+        if Action.MAINTAIN in records[i + 1].per_action_utilities
+        and (records[i + 1].action_taken is not Action.MAINTAIN or i + 1 not in joined)
+    ]
+    if "cool_down" in overrides:
+        assert joined == []
+    else:
+        assert len(joined) == len(records) - 1 and resumed
+    # one replay per candidate: the taken action's is the MAINTAIN fork of
+    # the next checkpoint, except in the final window
+    assert len(replays) == sum(len(rec.per_action_utilities) for rec in records)
+    # a resumed MAINTAIN fork builds no cluster; the primary run builds one
+    assert len(forks) == 1 + len(replays) - len(resumed)
+
+    for rec in records:
+        per_action = rec.per_action_utilities
+        assert per_action == direct_replays(checkpoints[rec.time], per_action, window)
+        assert rec.u_actual == per_action[rec.action_taken]
+        assert rec.u_ideal == max(per_action.values())

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedPolicy, make_trace
-from elastidebt.policies import ACTION_ORDER, DebtAwarePolicy
+from conftest import FixedPolicy, captured_checkpoints, direct_replays, make_trace
+from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy
 from elastidebt.sim import Cluster, SimConfig, run_simulation
 from test_acceptance import build_checkpoint, oracle_utility
 
@@ -75,6 +75,32 @@ def test_replay_matches_brute_force_oracle(conserving, scenario):
     for action in ACTION_ORDER:
         expected = oracle_utility(cfg, vm_specs, action, arrivals, T0, window)
         assert checkpoint.replay(action, window).utility == expected, action
+
+
+@PROPERTY_SETTINGS
+@given(
+    scenarios(),
+    st.lists(
+        st.tuples(
+            st.sampled_from(ACTION_ORDER),
+            st.sampled_from([0, 0, 7, 120, 300]),
+            st.integers(0, 900),
+        ),
+        max_size=6,
+    ),
+)
+def test_maintain_replay_ignores_earlier_calls(scenario, calls):
+    # the paused MAINTAIN fork is resumed only for a window reaching at
+    # least as far; longer, shorter and equal windows in any order each
+    # give what a fresh checkpoint gives
+    cfg, vm_specs, _, arrivals = scenario
+    checkpoint = build_checkpoint(cfg, vm_specs, arrivals, T0)
+    for action, before, after in calls + [(Action.MAINTAIN, 0, 0)] + calls[::-1]:
+        # a window opened ``before`` seconds ahead of the checkpoint
+        start, window = T0 - before, float(before + after)
+        fresh = build_checkpoint(cfg, vm_specs, arrivals, T0)
+        expected = fresh.replay(action, window, start=start)
+        assert checkpoint.replay(action, window, start=start) == expected, (action, before, after)
 
 
 def fleet_cluster(cfg, checkpoint):
@@ -153,7 +179,8 @@ def test_full_run_invariants(run):
         return decide(obs)
 
     policy.decide = logged
-    result = run_simulation(cfg, make_trace(arrivals), policy, horizon)
+    with captured_checkpoints() as checkpoints:
+        result = run_simulation(cfg, make_trace(arrivals), policy, horizon)
     # every decision is settled once, and none is taken at the horizon
     assert decided == [rec.time for rec in result.records]
     assert all(t < horizon for t in decided)
@@ -168,3 +195,13 @@ def test_full_run_invariants(run):
         assert rec.debt <= 0.0
         best = max(rec.per_action_utilities.values())
         assert (rec.debt == 0.0) == (rec.per_action_utilities[rec.action_taken] == best)
+    # every value, whether measured, joined or replayed on a resumed fork,
+    # equals a direct replay over the record's window, bit for bit
+    proactive = isinstance(policy, DebtAwarePolicy)
+    for win in windows:
+        rec = win.record
+        if rec is None:
+            continue
+        span = cfg.decision_interval + cfg.billing_cycle if proactive else win.end - rec.time
+        per_action = rec.per_action_utilities
+        assert per_action == direct_replays(checkpoints[rec.time], per_action, span)

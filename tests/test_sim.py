@@ -17,8 +17,8 @@ from elastidebt.sim import (
 from elastidebt.workload import Request
 
 
-def make_vm(vm_id=0, capacity=10.0, requested=0.0, ready=0.0, anchor=0.0):
-    return VmInstance(vm_id, capacity, requested, ready, anchor)
+def make_vm(vm_id=0, ready=0.0, anchor=0.0):
+    return VmInstance(vm_id, ready, anchor)
 
 
 # -- execution time ----------------------------------------------------------
@@ -157,8 +157,7 @@ def test_launch_vm_spin_up():
     vm_id = cluster.launch_vm(0.0)
     vm = cluster.active[vm_id]
     assert vm.ready_at == 105.0
-    assert vm.requested_at == 0.0
-    assert vm.anchor == 0.0  # at_request default
+    assert vm.anchor == 0.0  # at_request default: billed from the request
 
 
 def test_two_launches_same_instant_get_distinct_ids():

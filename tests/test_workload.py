@@ -111,6 +111,14 @@ def test_parse_validation_errors():
         parse_trace("0.5 2\n1.0 0\n")
 
 
+@pytest.mark.parametrize("line", ["nan 2", "inf 2", "-inf 2", "1.0 nan", "1.0 inf", "1.0 -inf"])
+def test_parse_rejects_non_finite_fields(line):
+    # a NaN arrival would sort into the middle of the trace and slip past
+    # every later order check, and a NaN work never settles
+    with pytest.raises(TraceValidationError, match="line 2: .* finite"):
+        parse_trace(f"0.5 2\n{line}\n3.0 2\n")
+
+
 def test_parse_sorts_out_of_order_lines():
     trace = parse_trace("3.0 1\n1.0 2\n2.0 3\n")
     assert [r.arrival_time for r in trace.requests] == [1.0, 2.0, 3.0]
@@ -160,6 +168,45 @@ def test_profile_validation():
         ).validate()  # gap between segments
     with pytest.raises(ProfileError):
         RateProfile(segments=[Segment(0, 10, 1.0)], arrival_mode="micro").validate()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "segment, field",
+    [
+        (Segment(0.0, 10.0, NAN), "base_rate"),
+        (Segment(0.0, 10.0, INF), "base_rate"),
+        (Segment(0.0, 10.0, 1.0, amplitude=NAN), "amplitude"),
+        (Segment(0.0, 10.0, 1.0, amplitude=INF), "amplitude"),
+        (Segment(0.0, 10.0, 1.0, period=NAN), "period"),
+        (Segment(0.0, 10.0, 1.0, period=INF), "period"),
+        (Segment(NAN, 10.0, 1.0), "not finite"),
+        (Segment(0.0, NAN, 1.0), "not finite"),
+        (Segment(-INF, 10.0, 1.0), "not finite"),
+        (Segment(0.0, INF, 1.0), "not finite"),
+    ],
+)
+def test_profile_rejects_non_finite_segment_fields(segment, field):
+    with pytest.raises(ProfileError, match=f"segment 0 .*{field}"):
+        RateProfile(segments=[segment]).validate()
+    # generation validates before it draws anything
+    with pytest.raises(ProfileError, match=field):
+        generate_trace(RateProfile(segments=[segment]), 10.0, seed=0)
+
+
+@pytest.mark.parametrize("work_mi", [NAN, INF, 0.0])
+def test_profile_rejects_bad_work(work_mi):
+    with pytest.raises(ProfileError, match="work_mi"):
+        RateProfile(segments=[Segment(0.0, 10.0, 1.0)], work_mi=work_mi).validate()
+
+
+def test_load_profile_rejects_nan_base_rate(tmp_path):
+    path = tmp_path / "nan.cfg"
+    path.write_text("segment.0.start = 0\nsegment.0.end = 10\nsegment.0.base_rate = nan\n")
+    with pytest.raises(ProfileError, match="base_rate"):
+        load_profile(str(path))
 
 
 def test_negative_instantaneous_rate_clamps_to_zero():
