@@ -62,8 +62,9 @@ class WindowCounts:
 class UtilityBreakdown:
     """Revenue, penalty and operating cost of one monitoring window.
 
-    ``failures`` are the penalized ones; ``counts`` holds the raw counts
-    the breakdown was computed from, when it was computed from counts.
+    ``counts`` holds the raw counts the breakdown was computed from, when
+    it was computed from counts; the penalized failures show only in
+    ``penalty``.
     """
 
     revenue: float
@@ -71,8 +72,6 @@ class UtilityBreakdown:
     vm_cost: float
     utility: float
     window: tuple[float, float] = (0.0, 0.0)
-    successes: int = 0
-    failures: int = 0
     counts: WindowCounts | None = None
 
 
@@ -107,7 +106,7 @@ def penalized_failures(successes: int, failures: int, mode: str, target: float =
 def compute_utility(
     x_s: int,
     x_f: int,
-    charged_cycles_per_vm,
+    cycles_per_vm,
     prices,
     window: tuple[float, float] = (0.0, 0.0),
 ) -> UtilityBreakdown:
@@ -120,15 +119,13 @@ def compute_utility(
         raise ValueError("request counts must be non-negative")
     revenue = prices.price_per_request * x_s
     penalty = prices.penalty_per_request * x_f
-    vm_cost = prices.vm_cost_per_cycle * sum(charged_cycles_per_vm)
+    vm_cost = prices.vm_cost_per_cycle * sum(cycles_per_vm)
     return UtilityBreakdown(
         revenue=revenue,
         penalty=penalty,
         vm_cost=vm_cost,
         utility=revenue - penalty - vm_cost,
         window=window,
-        successes=x_s,
-        failures=x_f,
     )
 
 

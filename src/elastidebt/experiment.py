@@ -212,8 +212,8 @@ def _run_on(
                 ready_vms=win.ready_vms,
                 ideal_vms=win.ideal_vms,
                 submitted=win.submitted,
-                successes=win.breakdown.successes,
-                failures=win.breakdown.failures,
+                successes=win.breakdown.counts.successes,
+                failures=win.breakdown.counts.failures,
                 penalty=win.breakdown.penalty,
                 debt=debt,
                 window_utility=win.breakdown.utility,
@@ -221,7 +221,8 @@ def _run_on(
             )
         )
 
-    failed_fraction = result.totals.failures / result.submitted if result.submitted else 0.0
+    counts = result.totals.counts
+    failed_fraction = counts.failures / result.submitted if result.submitted else 0.0
     totals = ReportTotals(
         aggregate_utility=cumulative,
         revenue=result.totals.revenue,
@@ -229,8 +230,8 @@ def _run_on(
         total_cost=result.totals.vm_cost,
         total_debt=total_debt,
         submitted=result.submitted,
-        successes=result.totals.successes,
-        failures=result.totals.failures,
+        successes=counts.successes,
+        failures=counts.failures,
         failed_fraction=failed_fraction,
         adaptations=len(result.records),
         vms_launched=result.vms_launched,

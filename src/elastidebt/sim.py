@@ -92,7 +92,8 @@ class VmInstance:
     finish of the last request ever assigned (0.0 before any).  Once the
     cluster is settled at time t, ``jobs`` holds exactly the requests still
     outstanding at t, and a ready VM is executing the first of them.
-    ``next_cycle`` is the next billing boundary to charge (inf when none is).
+    Billing needs only ``anchor`` and ``released_at``: see
+    ``billing_cycles_charged``.
     """
 
     __slots__ = (
@@ -102,9 +103,7 @@ class VmInstance:
         "anchor",
         "jobs",
         "last_finish",
-        "next_cycle",
         "busy_in_window",
-        "charged_cycles",
     )
 
     def __init__(self, vm_id: int, ready_at: float, anchor: float):
@@ -114,9 +113,7 @@ class VmInstance:
         self.anchor = anchor
         self.jobs: deque[tuple[float, float, bool]] = deque()
         self.last_finish = 0.0
-        self.next_cycle = _INF
         self.busy_in_window = 0.0
-        self.charged_cycles = 0
 
     def outstanding(self) -> int:
         return len(self.jobs)
@@ -125,12 +122,11 @@ class VmInstance:
         return not self.jobs
 
     def clone(self) -> VmInstance:
-        """Same lifecycle, schedule and next boundary; counters start at zero."""
+        """Same lifecycle and schedule; the busy-time counter starts at zero."""
         vm = VmInstance(self.id, self.ready_at, self.anchor)
         vm.released_at = self.released_at
         vm.jobs = deque(self.jobs)
         vm.last_finish = self.last_finish
-        vm.next_cycle = self.next_cycle
         return vm
 
 
@@ -144,33 +140,31 @@ class ClusterObservation:
     frac_vms_with_queue: float
     frac_vms_idle_near_cycle: float
     per_vm_utilization: list[float]
-    window_successes: int
-    window_failures: int
 
 
-def billing_cycles_charged(vm: VmInstance, horizon: float, billing_cycle: float) -> int:
-    """Cycles charged by ``horizon``: every started cycle is fully charged.
+def billing_cycles_charged(
+    vm: VmInstance, t: float, billing_cycle: float, close: bool = True
+) -> int:
+    """Cycles charged to the VM by time ``t``; the one billing rule.
 
-    A released VM is charged up to its release time rounded up to the next
-    cycle boundary; an alive VM is charged for the cycle in progress at the
-    horizon.
+    The VM's boundaries are ``anchor + k * billing_cycle`` for k >= 1.  Each
+    boundary passed by ``t`` charges the cycle it closes, and a released VM
+    stops at the boundary its release rounds up to.  With ``close`` (the
+    default) ``t`` closes the bill, as the horizon does, and every started
+    cycle is charged.
     """
-    if horizon < vm.anchor:
-        raise ValueError("horizon precedes the VM's billing anchor")
-    end = horizon if vm.released_at is None else min(vm.released_at, horizon)
-    span = end - vm.anchor
-    if span <= 0:
-        return 0
-    return max(0, math.ceil(span / billing_cycle - _EPS))
+    if t < vm.anchor:
+        raise ValueError("time precedes the VM's billing anchor")
+    cycles = (t - vm.anchor) / billing_cycle
+    if vm.released_at is not None:
+        # a VM released while an at_ready anchor is still ahead owes nothing
+        cycles = min(cycles, max(0, math.ceil((vm.released_at - vm.anchor) / billing_cycle - _EPS)))
+    return math.ceil(cycles - _EPS) if close else math.floor(cycles + _EPS)
 
 
-def _charge_end(vm: VmInstance, billing_cycle: float) -> float:
-    """Release time rounded up to the next cycle boundary (alive VMs: inf)."""
-    if vm.released_at is None:
-        return _INF
-    # a VM released while an at_ready anchor is still ahead owes nothing
-    cycles = billing_cycles_charged(vm, max(vm.released_at, vm.anchor), billing_cycle)
-    return vm.anchor + cycles * billing_cycle
+def _time_to_boundary(vm: VmInstance, now: float, billing_cycle: float) -> float:
+    """Time from ``now`` to the VM's next billing boundary (a full cycle at one)."""
+    return billing_cycle - ((now - vm.anchor) % billing_cycle)
 
 
 def select_release_victim(cluster: "Cluster", now: float) -> int | None:
@@ -185,7 +179,7 @@ def select_release_victim(cluster: "Cluster", now: float) -> int | None:
     cycle = cluster.config.billing_cycle
     idle = [vm for vm in active if vm.ready_at <= now and vm.is_idle()]
     if idle:
-        victim = min(idle, key=lambda v: (cycle - ((now - v.anchor) % cycle), v.id))
+        victim = min(idle, key=lambda v: (_time_to_boundary(v, now, cycle), v.id))
     else:
         victim = min(active, key=lambda v: (v.outstanding(), v.id))
     return victim.id
@@ -195,10 +189,11 @@ class Cluster:
     """Cluster state shared by the primary run and replays.
 
     ``dispatch`` schedules each arrival on its VM when it arrives, and
-    ``advance`` settles every VM at the time it advances to: it counts the
-    requests finished by then and charges the billing boundaries passed.
-    Counters, ``outstanding_requests`` and each VM's ``jobs`` therefore
-    describe the cluster at that time once ``advance`` returns.
+    ``advance`` settles every VM at the time it advances to by counting the
+    requests finished by then.  Counters, ``outstanding_requests`` and each
+    VM's ``jobs`` therefore describe the cluster at that time once
+    ``advance`` returns.  Billing keeps no state: ``counts(t)`` reads the
+    cycles charged by t from each VM's anchor and release time.
 
     Requests are only read: a request's schedule and SLA verdict live in
     its VM's ``jobs``, so the primary run and every replay can share one
@@ -234,7 +229,6 @@ class Cluster:
             ready = now + self.config.spin_up
             anchor = now if self.config.billing_anchor == "at_request" else ready
             vm = VmInstance(vm_id, ready, anchor)
-        vm.next_cycle = vm.anchor + self.config.billing_cycle
         self.active[vm_id] = vm
         return vm_id
 
@@ -268,10 +262,17 @@ class Cluster:
     def outstanding_requests(self) -> int:
         return sum(len(vm.jobs) for vms in (self.active, self.retired) for vm in vms.values())
 
-    def counts(self) -> WindowCounts:
-        """Requests counted and billing cycles charged so far."""
-        vms = (*self.active.values(), *self.retired.values())
-        return WindowCounts(self.successes, self.failures, sum(vm.charged_cycles for vm in vms))
+    def counts(self, t: float, close: bool = False) -> WindowCounts:
+        """Requests counted so far and billing cycles charged by ``t``
+        (every started one when ``t`` closes the bill)."""
+        cycle = self.config.billing_cycle
+        charged = sum(
+            billing_cycles_charged(vm, t, cycle, close)
+            for vms in (self.active, self.retired)
+            for vm in vms.values()
+            if vm.anchor <= t
+        )
+        return WindowCounts(self.successes, self.failures, charged)
 
     # -- request flow ------------------------------------------------------
 
@@ -323,8 +324,7 @@ class Cluster:
 
     def advance(self, until: float, arrivals: list[Request], idx: int) -> int:
         """Dispatch every arrival with time <= until, then settle every VM at
-        until and charge its billing boundaries up to then; returns the index
-        of the first unconsumed arrival."""
+        until; returns the index of the first unconsumed arrival."""
         first = idx
         n = len(arrivals)
         dispatch = self.dispatch
@@ -335,17 +335,9 @@ class Cluster:
             dispatch(req, req.arrival_time)
             idx += 1
         self.submitted += idx - first
-        cycle = self.config.billing_cycle
         for vms in (self.active, self.retired):
             for vm in vms.values():
                 self._settle_vm(vm, until)
-                # each boundary is the previous one plus a cycle
-                while vm.next_cycle <= until:
-                    if vm.next_cycle > _charge_end(vm, cycle) + _EPS:
-                        vm.next_cycle = _INF
-                    else:
-                        vm.charged_cycles += 1
-                        vm.next_cycle += cycle
         return idx
 
 
@@ -355,7 +347,10 @@ class Checkpoint:
     ``replay`` clones the snapshot into a private cluster (a fork), applies
     one candidate action, runs the window with no further adaptations and
     returns the window's utility.  Request objects are shared read-only;
-    nothing in the primary run is modified.
+    nothing in the primary run is modified.  The window is charged the
+    cycles the fork's VMs are charged by its end less those they were
+    charged by the checkpoint, which earlier windows paid.  Retired VMs
+    with no work left and no cycle still to pay are not snapshotted.
 
     The last MAINTAIN fork stays paused where its replay stopped, and a
     later MAINTAIN replay that runs at least as far resumes it.  Advancing
@@ -380,18 +375,16 @@ class Checkpoint:
         self.arrivals = arrivals
         self.arrival_idx = arrival_idx
         self.next_vm_id = cluster.next_vm_id
-        self._paused: tuple[Cluster, int, float] | None = None  # fork, arrival index, time
+        # fork, arrival index, time, and the fork's counts at the checkpoint
+        self._paused: tuple[Cluster, int, float, WindowCounts] | None = None
         cycle = config.billing_cycle
         self.vm_snaps: list[VmInstance] = []
         for vm in cluster.all_vms():
-            if vm.released_at is not None and not vm.jobs and _charge_end(vm, cycle) <= time + _EPS:
-                continue  # fully retired: no effect inside any window
-            snap = vm.clone()
-            # next boundary strictly after the checkpoint; earlier ones are
-            # already charged to previous windows
-            k = max(1, math.floor((time - vm.anchor) / cycle + _EPS) + 1)
-            snap.next_cycle = vm.anchor + k * cycle
-            self.vm_snaps.append(snap)
+            if vm.released_at is not None and not vm.jobs and vm.anchor <= time:
+                owed = billing_cycles_charged(vm, _INF, cycle, close=False)
+                if billing_cycles_charged(vm, time, cycle, close=False) == owed:
+                    continue  # fully retired: no effect inside any window
+            self.vm_snaps.append(vm.clone())
 
     def replay(self, action: Action, window: float, start: float | None = None) -> UtilityBreakdown:
         """Utility of ``action`` from the checkpoint to ``start + window``.
@@ -403,7 +396,7 @@ class Checkpoint:
         end = (self.time if start is None else start) + window
         paused = self._paused if action is Action.MAINTAIN else None
         if paused is not None and paused[2] <= end:
-            cluster, idx, _ = paused
+            cluster, idx, _, before = paused
         else:
             cluster = Cluster(self.config)
             cluster.next_vm_id = self.next_vm_id
@@ -412,10 +405,11 @@ class Checkpoint:
                 vms[snap.id] = snap.clone()
             cluster.apply(action, self.time)
             idx = self.arrival_idx
+            before = cluster.counts(self.time)
         idx = cluster.advance(end, self.arrivals, idx)
         if action is Action.MAINTAIN:
-            self._paused = (cluster, idx, end)
-        return cluster.counts().utility(self.config, window=(self.time, end))
+            self._paused = (cluster, idx, end, before)
+        return (cluster.counts(end) - before).utility(self.config, window=(self.time, end))
 
 
 @dataclass
@@ -427,7 +421,6 @@ class WindowMetrics:
     submitted: int
     breakdown: UtilityBreakdown
     ready_vms: int
-    live_vms: int
     ideal_vms: int
     record: AdaptationRecord | None = None
 
@@ -508,24 +501,22 @@ class Simulation:
         idx = 0
         win_start = 0.0
         snap_submitted = 0
-        snap = cluster.counts()
+        snap = cluster.counts(0.0)
         last_adaptation = -_INF
         pending: _Pending | None = None
-        learns = getattr(policy, "learns", False)
-        debt_mode = getattr(policy, "debt_mode", "proactive" if learns else "retrospective")
+        # a learning policy values its adaptations proactively
+        proactive = getattr(policy, "learns", False)
 
         for t in _decision_ticks(cfg.decision_interval, horizon):
             final = t == horizon
             idx = cluster.advance(t, requests, idx)
-            if final:
-                self._true_up_billing(t)
-            elif t - last_adaptation < cfg.cool_down - _EPS:
+            if not final and t - last_adaptation < cfg.cool_down - _EPS:
                 continue
-            # close the window [win_start, t]
+            # close the window [win_start, t]; the horizon closes the bill
             self._flush_busy(t)
             win_submitted = cluster.submitted - snap_submitted
-            counts = cluster.counts() - snap
-            obs = self._observe(t, win_start, counts.successes, counts.failures)
+            counts = cluster.counts(t, close=final) - snap
+            obs = self._observe(t, win_start)
             breakdown = counts.utility(cfg, window=(win_start, t))
             cumulative += breakdown.utility
             # the cluster before this decision point's action, which the
@@ -536,11 +527,11 @@ class Simulation:
 
             record = None
             if pending is not None:
-                # the horizon billing true-up has no replay analogue, so the
-                # final window's measured utility is not comparable
+                # no replay closes the bill, so the final window's measured
+                # utility is not comparable
                 measured = None if final else breakdown
                 record = self._settle(
-                    pending, t - pending.time, debt_mode, record_debt, measured, checkpoint
+                    pending, t - pending.time, proactive, record_debt, measured, checkpoint
                 )
                 records.append(record)
                 if record_debt and not final:
@@ -573,7 +564,7 @@ class Simulation:
             for vm in cluster.active.values():
                 vm.busy_in_window = 0.0
             snap_submitted = cluster.submitted
-            snap = cluster.counts()
+            snap = cluster.counts(t)
 
         revenue = sum(w.breakdown.revenue for w in windows)
         penalty = sum(w.breakdown.penalty for w in windows)
@@ -584,8 +575,7 @@ class Simulation:
             vm_cost=vm_cost,
             utility=revenue - penalty - vm_cost,
             window=(0.0, horizon),
-            successes=cluster.successes,
-            failures=cluster.failures,
+            counts=cluster.counts(horizon, close=True),
         )
         return SimulationResult(
             windows=windows,
@@ -605,7 +595,7 @@ class Simulation:
         self,
         pending: _Pending,
         elapsed: float,
-        debt_mode: str,
+        proactive: bool,
         record_debt: bool,
         measured: UtilityBreakdown | None,
         checkpoint: Checkpoint | None,
@@ -626,7 +616,7 @@ class Simulation:
             )
         cfg = self.config
         known = None
-        if debt_mode == "proactive":
+        if proactive:
             window = cfg.decision_interval + cfg.billing_cycle
             if measured is not None and pending.time + window > checkpoint.time:
                 # the primary run held the taken action up to the next
@@ -664,8 +654,7 @@ class Simulation:
         pending: _Pending | None,
         record: AdaptationRecord | None,
     ) -> WindowMetrics:
-        live = len(self.cluster.active)
-        ideal = live
+        ideal = len(self.cluster.active)
         if record is not None and pending is not None and record.per_action_utilities:
             best = max(record.per_action_utilities.values())
             if record.per_action_utilities[record.action_taken] >= best:
@@ -682,7 +671,6 @@ class Simulation:
             submitted=submitted,
             breakdown=breakdown,
             ready_vms=obs.ready_vms,
-            live_vms=live,
             ideal_vms=ideal,
             record=record,
         )
@@ -695,18 +683,7 @@ class Simulation:
             if vm.jobs and vm.jobs[0][0] < now:
                 vm.busy_in_window += now - max(vm.jobs[0][0], mark)
 
-    def _true_up_billing(self, horizon: float) -> None:
-        # cycles started but whose boundary falls past the horizon
-        for vm in self.cluster.all_vms():
-            if vm.anchor > horizon:  # anchored-at-ready VM still spinning up
-                continue
-            expected = billing_cycles_charged(vm, horizon, self.config.billing_cycle)
-            if expected > vm.charged_cycles:
-                vm.charged_cycles = expected
-
-    def _observe(
-        self, now: float, win_start: float, win_succ: int, win_fail: int
-    ) -> ClusterObservation:
+    def _observe(self, now: float, win_start: float) -> ClusterObservation:
         cfg = self.config
         ready = [vm for vm in self.cluster.active.values() if vm.ready_at <= now]
         n_ready = len(ready)
@@ -716,7 +693,7 @@ class Simulation:
         idle_near = 0
         for vm in ready:
             if vm.is_idle():
-                remaining = cfg.billing_cycle - ((now - vm.anchor) % cfg.billing_cycle)
+                remaining = _time_to_boundary(vm, now, cfg.billing_cycle)
                 if remaining <= cfg.cycle_proximity + _EPS:
                     idle_near += 1
         utils = []
@@ -730,8 +707,6 @@ class Simulation:
             frac_vms_with_queue=with_queue / n_ready if n_ready else 0.0,
             frac_vms_idle_near_cycle=idle_near / n_ready if n_ready else 0.0,
             per_vm_utilization=utils,
-            window_successes=win_succ,
-            window_failures=win_fail,
         )
 
 

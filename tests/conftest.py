@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import math
 
 import pytest
 
@@ -19,8 +20,6 @@ def make_obs(
     frac_queue: float = 0.0,
     frac_idle: float = 0.0,
     utils: list[float] | None = None,
-    successes: int = 0,
-    failures: int = 0,
 ) -> ClusterObservation:
     return ClusterObservation(
         time=time,
@@ -29,8 +28,6 @@ def make_obs(
         frac_vms_with_queue=frac_queue,
         frac_vms_idle_near_cycle=frac_idle,
         per_vm_utilization=utils if utils is not None else [0.5] * ready_vms,
-        window_successes=successes,
-        window_failures=failures,
     )
 
 
@@ -49,6 +46,34 @@ def dispatch_alone(work: float) -> tuple[float, float, bool]:
     cluster.dispatch(Request(0, 0.0, work), 0.0)
     (job,) = cluster.active[vm_id].jobs
     return job
+
+
+def oracle_cycles(vm, t: float, cycle: float, close: bool = False) -> int:
+    """Cycles charged to ``vm`` by ``t``, counted boundary by boundary.
+
+    Boundary k is ``anchor + k * cycle`` and closes cycle k.  A released VM
+    is charged up to the first boundary at or after its release.  By ``t``
+    every cycle whose boundary has passed is charged; when ``t`` closes the
+    bill, every cycle that has started.  Comparisons allow 1e-9 of a cycle,
+    as the simulator does.
+    """
+    tol = 1e-9 * cycle
+    last = math.inf
+    if vm.released_at is not None:
+        last = 0
+        while vm.anchor + last * cycle < vm.released_at - tol:
+            last += 1
+    count = 0
+    while count < last:
+        k = count + 1
+        if close:
+            due = vm.anchor + (k - 1) * cycle < t - tol
+        else:
+            due = vm.anchor + k * cycle <= t + tol
+        if not due:
+            break
+        count = k
+    return count
 
 
 @contextlib.contextmanager

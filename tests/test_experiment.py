@@ -1,3 +1,4 @@
+import csv
 import math
 import os
 from dataclasses import fields
@@ -322,6 +323,20 @@ def test_emit_csv_single_row_read_back(tmp_path):
     back = load_summary(str(tmp_path))
     assert back.aggregate_utility == 1.25
     assert back.policy == "stub"
+
+
+def test_penalties_csv_counts_every_failure_under_floor_sla(tmp_path):
+    # floor mode penalizes only the failures beyond an allowance; the
+    # failures column still counts every failure, as summary.csv does
+    cfg = quick_config(seed=3, horizon=1800.0)
+    cfg.sim.sla_mode = "floor"
+    emit_csv(run_experiment(cfg), str(tmp_path))
+    with open(tmp_path / "penalties.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    totals = load_summary(str(tmp_path))
+    assert totals.failures > 0
+    assert sum(int(r["failures"]) for r in rows) == totals.failures
+    assert sum(int(r["successes"]) for r in rows) == totals.successes
 
 
 def test_emitted_files_are_byte_stable(tmp_path):

@@ -271,7 +271,7 @@ def test_epsilon_zero_frozen_table_is_deterministic():
 
 def test_policy_separation():
     # the baseline reacts only to utilizations; the learner ignores them
-    rich = make_obs(frac_queue=0.9, frac_idle=0.9, utils=[0.5, 0.5], successes=9, failures=9)
+    rich = make_obs(frac_queue=0.9, frac_idle=0.9, utils=[0.5, 0.5])
     poor = make_obs(frac_queue=0.0, frac_idle=0.0, utils=[0.5, 0.5])
     voting = VotingPolicy()
     assert voting.decide(rich) is voting.decide(poor)

@@ -1,8 +1,10 @@
 """Property tests over small random configs, fleets and arrival lists.
 
 In the replay tests spin-up, billing cycles, anchors and windows are whole
-seconds so that billing boundaries sum exactly: the cluster adds one cycle
-per boundary while the oracle multiplies.
+seconds plus a fraction of 0, 0.001, 0.1 or 1/3 s.  The cluster computes
+the cycles charged by a time in closed form and the oracle steps through
+the boundaries ``anchor + k * cycle``; neither sums cycles one by one, so
+fractional values land on the same boundaries.
 """
 
 import random
@@ -11,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedPolicy, captured_checkpoints, direct_replays, make_trace
+from conftest import FixedPolicy, captured_checkpoints, direct_replays, make_trace, oracle_cycles
 from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy
-from elastidebt.sim import Cluster, SimConfig, run_simulation
+from elastidebt.sim import Cluster, SimConfig, Simulation
 from test_acceptance import build_checkpoint, oracle_utility
 
 T0 = 600.0
@@ -27,22 +29,28 @@ PROPERTY_SETTINGS = settings(
 )
 
 
+def seconds(low, high):
+    """Whole seconds in [low, high] plus a fraction of 0, 0.001, 0.1 or 1/3."""
+    fraction = st.sampled_from([0.0, 0.001, 0.1, 1 / 3])
+    return st.builds(lambda whole, part: whole + part, st.integers(low, high), fraction)
+
+
 @st.composite
 def scenarios(draw):
     """A config, an idle ready fleet at T0, a window and arrivals inside it."""
     cfg = SimConfig(
-        spin_up=float(draw(st.integers(1, 400))),
+        spin_up=draw(seconds(1, 400)),
         vm_capacity=draw(st.sampled_from([1.0, 2.0, 2.5, 4.0, 7.0, 10.0])),
-        billing_cycle=float(draw(st.integers(5, 600))),
+        billing_cycle=draw(seconds(5, 600)),
         sla_response_limit=draw(st.sampled_from([0.25, 1.0, 2.0, 3.7, 30.0])),
         billing_anchor=draw(st.sampled_from(["at_request", "at_ready"])),
     )
     vm_specs = [
-        {"id": i, "anchor": T0 - draw(st.integers(0, 900)), "ready": T0 - draw(st.integers(0, 300))}
+        {"id": i, "anchor": T0 - draw(seconds(0, 900)), "ready": T0 - draw(st.integers(0, 300))}
         for i in range(draw(st.integers(1, 4)))
     ]
     # short windows crowd the arrivals; long ones cross billing boundaries
-    window = float(draw(st.one_of(st.integers(1, 20), st.integers(1, 900))))
+    window = draw(st.one_of(seconds(1, 20), seconds(1, 900)))
     # arrivals on a quarter-second grid make completions tie with arrivals
     # and with the window end; arbitrary floats cover the rest
     arrival = st.one_of(
@@ -84,7 +92,7 @@ def test_replay_matches_brute_force_oracle(conserving, scenario):
         st.tuples(
             st.sampled_from(ACTION_ORDER),
             st.sampled_from([0, 0, 7, 120, 300]),
-            st.integers(0, 900),
+            seconds(0, 900),
         ),
         max_size=6,
     ),
@@ -97,7 +105,7 @@ def test_maintain_replay_ignores_earlier_calls(scenario, calls):
     checkpoint = build_checkpoint(cfg, vm_specs, arrivals, T0)
     for action, before, after in calls + [(Action.MAINTAIN, 0, 0)] + calls[::-1]:
         # a window opened ``before`` seconds ahead of the checkpoint
-        start, window = T0 - before, float(before + after)
+        start, window = T0 - before, before + after
         fresh = build_checkpoint(cfg, vm_specs, arrivals, T0)
         expected = fresh.replay(action, window, start=start)
         assert checkpoint.replay(action, window, start=start) == expected, (action, before, after)
@@ -125,8 +133,8 @@ def test_advancing_in_steps_changes_nothing(conserving, scenario, steps):
     stepped.advance(end, checkpoint.arrivals, idx)
 
     def outcome(cluster):
-        vms = [(vm.id, vm.charged_cycles, list(vm.jobs)) for vm in cluster.all_vms()]
-        return cluster.submitted, cluster.successes, cluster.failures, vms
+        vms = [(vm.id, list(vm.jobs)) for vm in cluster.all_vms()]
+        return cluster.submitted, cluster.counts(end), vms
 
     assert outcome(stepped) == outcome(whole)
 
@@ -179,8 +187,9 @@ def test_full_run_invariants(run):
         return decide(obs)
 
     policy.decide = logged
+    sim = Simulation(cfg)
     with captured_checkpoints() as checkpoints:
-        result = run_simulation(cfg, make_trace(arrivals), policy, horizon)
+        result = sim.run(make_trace(arrivals), policy, horizon)
     # every decision is settled once, and none is taken at the horizon
     assert decided == [rec.time for rec in result.records]
     assert all(t < horizon for t in decided)
@@ -188,9 +197,21 @@ def test_full_run_invariants(run):
     assert windows[0].start == 0.0 and windows[-1].end == horizon
     assert all(prev.end == cur.start for prev, cur in zip(windows, windows[1:]))
     assert result.submitted == len(arrivals)
-    t = result.totals
+    t = result.totals.counts
     assert t.successes + t.failures + result.in_flight_at_end == result.submitted
     assert sum(w.breakdown.utility for w in windows) == result.aggregate_utility
+    # each window pays the cycles whose boundaries it passed; the last one
+    # closes the bill and pays every started cycle
+    vms = sim.cluster.all_vms()
+    for win in windows:
+        close = win.end == horizon
+        charged = sum(
+            oracle_cycles(vm, win.end, cfg.billing_cycle, close)
+            - oracle_cycles(vm, win.start, cfg.billing_cycle)
+            for vm in vms
+        )
+        assert win.breakdown.counts.cycles == charged, (win.start, win.end)
+    assert t.cycles == sum(w.breakdown.counts.cycles for w in windows)
     for rec in result.records:
         assert rec.debt <= 0.0
         best = max(rec.per_action_utilities.values())

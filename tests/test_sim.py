@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import FixedPolicy, dispatch_alone, make_trace
+from conftest import FixedPolicy, dispatch_alone, make_trace, oracle_cycles
 from elastidebt.policies import Action
 from elastidebt.sim import (
     Checkpoint,
@@ -176,7 +176,8 @@ def test_billing_anchor_at_ready():
     assert vm.anchor == 105.0
     # first charged boundary sits one cycle past the anchor
     cluster.advance(405.0, [], 0)
-    assert vm.charged_cycles == 1
+    assert cluster.counts(404.0).cycles == 0
+    assert cluster.counts(405.0).cycles == 1
 
 
 def test_release_unknown_or_repeated_vm_errors():
@@ -264,7 +265,7 @@ def observed_utilization(arrivals, window_end, cfg=None, launch_at=None):
     requests = make_trace(arrivals).requests
     sim.cluster.advance(window_end, requests, 0)
     sim._flush_busy(window_end)
-    return sim._observe(window_end, 0.0, 0, 0).per_vm_utilization
+    return sim._observe(window_end, 0.0).per_vm_utilization
 
 
 def test_utilization_idle_and_busy_window():
@@ -317,8 +318,8 @@ def test_fifo_queueing_hand_trace(maintain_policy):
     finishes = sorted(finish for _, _, finish, _ in jobs)
     assert finishes == pytest.approx([0.2 * k for k in range(1, 11)])
     assert [ok for *_, ok in jobs] == [True] * 9 + [False]
-    assert result.totals.failures == 1
-    assert result.totals.successes == 9
+    assert result.totals.counts.failures == 1
+    assert result.totals.counts.successes == 9
 
 
 def test_conservation_of_requests():
@@ -328,7 +329,7 @@ def test_conservation_of_requests():
     result = run_simulation(SimConfig(), trace, FixedPolicy(Action.MAINTAIN), 900.0)
     assert result.submitted == len(trace.requests)
     assert (
-        result.totals.successes + result.totals.failures + result.in_flight_at_end
+        result.totals.counts.successes + result.totals.counts.failures + result.in_flight_at_end
         == result.submitted
     )
 
@@ -339,10 +340,10 @@ def test_conservation_holds_at_every_decision_point():
     sim = Simulation(SimConfig())
     original = sim._observe
 
-    def checked(now, win_start, win_succ, win_fail):
+    def checked(now, win_start):
         c = sim.cluster
         assert c.submitted - c.successes - c.failures == c.outstanding_requests()
-        return original(now, win_start, win_succ, win_fail)
+        return original(now, win_start)
 
     sim._observe = checked
     trace = generate_trace(default_profile(), 1500.0, seed=13)
@@ -367,7 +368,7 @@ def test_last_vm_release_is_refused():
     result = run_simulation(cfg, make_trace([]), FixedPolicy(Action.RELEASE), 1200.0)
     # the single VM survives the whole run and keeps billing
     assert result.totals.vm_cost == pytest.approx(4 * 0.01111)
-    assert all(w.live_vms == 1 for w in result.windows)
+    assert all(w.ready_vms == 1 for w in result.windows)
 
 
 def test_release_victim_prefers_idle_nearest_boundary():
@@ -440,29 +441,40 @@ def test_billed_cycles_cover_busy_span():
 
     observe = sim._observe
     interior = []
+    cycle = cfg.billing_cycle
 
-    def checked(now, win_start, win_succ, win_fail):
+    def checked(now, win_start):
         if now < horizon:
-            # before the true-up: each boundary passed so far is charged once,
+            # before the close: each boundary passed so far is charged once,
             # and the cycle in progress is not charged yet
             interior.append(now)
+            charged = 0
             for vm in sim.cluster.all_vms():
-                assert vm.charged_cycles == math.floor((now - vm.anchor) / cfg.billing_cycle + 1e-9)
+                cycles = billing_cycles_charged(vm, now, cycle, close=False)
+                assert cycles == oracle_cycles(vm, now, cycle)
+                charged += cycles
                 first_start, last_finish = busy_span(vm.id, now)
                 busy = last_finish - first_start
-                assert vm.charged_cycles + 1 >= math.ceil(busy / cfg.billing_cycle - 1e-9)
-        return observe(now, win_start, win_succ, win_fail)
+                assert cycles + 1 >= math.ceil(busy / cycle - 1e-9)
+            assert sim.cluster.counts(now).cycles == charged
+        return observe(now, win_start)
 
     sim._observe = checked
-    sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
+    result = sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
     assert interior == [60.0 + 120.0 * k for k in range(12)]
     vms = {vm.id: vm for vm in sim.cluster.all_vms()}
     assert len({vm_id for vm_id, *_ in jobs}) == len(vms) == cfg.initial_vms
+    charged = 0
     for vm_id, vm in vms.items():
+        # the close charges every started cycle
+        cycles = billing_cycles_charged(vm, horizon, cycle)
+        assert cycles == oracle_cycles(vm, horizon, cycle, close=True)
+        charged += cycles
         first_start, last_finish = busy_span(vm_id, horizon)
         busy = last_finish - first_start
-        assert vm.charged_cycles >= math.ceil(busy / cfg.billing_cycle - 1e-9)
+        assert cycles >= math.ceil(busy / cycle - 1e-9)
         assert first_start >= vm.anchor
+    assert sum(w.breakdown.counts.cycles for w in result.windows) == charged
 
 
 def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
@@ -484,7 +496,7 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
     assert len(unrecorded.records) == len(recorded.records) > 0
 
     def primary(windows):
-        return [(w.start, w.end, w.submitted, w.breakdown, w.ready_vms, w.live_vms) for w in windows]
+        return [(w.start, w.end, w.submitted, w.breakdown, w.ready_vms) for w in windows]
 
     assert primary(unrecorded.windows) == primary(recorded.windows)
 
