@@ -24,20 +24,22 @@ from .policies import ACTION_ORDER, Action, StateKey
 
 @dataclass(frozen=True)
 class WindowCounts:
-    """Raw outcome of a span: completed requests that met and missed the SLA,
-    and the billing cycles charged in it.
+    """Raw outcome of a span: requests submitted, completed requests that met
+    and missed the SLA, and the billing cycles charged in it.
 
     Counts of consecutive spans add up; utilities do not, because ``floor``
     SLA mode penalizes only the failures beyond an allowance of the whole
     window.  Spans are therefore joined here and valued once.
     """
 
+    submitted: int
     successes: int
     failures: int
     cycles: int
 
     def __add__(self, other: WindowCounts) -> WindowCounts:
         return WindowCounts(
+            self.submitted + other.submitted,
             self.successes + other.successes,
             self.failures + other.failures,
             self.cycles + other.cycles,
@@ -45,15 +47,16 @@ class WindowCounts:
 
     def __sub__(self, other: WindowCounts) -> WindowCounts:
         return WindowCounts(
+            self.submitted - other.submitted,
             self.successes - other.successes,
             self.failures - other.failures,
             self.cycles - other.cycles,
         )
 
-    def utility(self, config, window: tuple[float, float]) -> UtilityBreakdown:
+    def utility(self, config) -> UtilityBreakdown:
         """The span's utility under ``config``'s SLA mode and prices."""
         x_f = penalized_failures(self.successes, self.failures, config.sla_mode, config.sla_target)
-        breakdown = compute_utility(self.successes, x_f, (self.cycles,), config, window)
+        breakdown = compute_utility(self.successes, x_f, (self.cycles,), config)
         breakdown.counts = self
         return breakdown
 
@@ -71,7 +74,6 @@ class UtilityBreakdown:
     penalty: float
     vm_cost: float
     utility: float
-    window: tuple[float, float] = (0.0, 0.0)
     counts: WindowCounts | None = None
 
 
@@ -108,7 +110,6 @@ def compute_utility(
     x_f: int,
     cycles_per_vm,
     prices,
-    window: tuple[float, float] = (0.0, 0.0),
 ) -> UtilityBreakdown:
     """Window utility from success/failure counts and per-VM cycle charges.
 
@@ -125,7 +126,6 @@ def compute_utility(
         penalty=penalty,
         vm_cost=vm_cost,
         utility=revenue - penalty - vm_cost,
-        window=window,
     )
 
 

@@ -133,6 +133,11 @@ class WindowRow:
 
 @dataclass
 class ReportTotals:
+    """A run's totals, in the column order of summary.csv."""
+
+    policy: str
+    seed: int
+    horizon: float = field(metadata={"decimals": 3})
     aggregate_utility: float
     revenue: float
     penalty: float
@@ -144,9 +149,6 @@ class ReportTotals:
     failed_fraction: float
     adaptations: int
     vms_launched: int
-    horizon: float
-    policy: str
-    seed: int
 
 
 @dataclass
@@ -211,7 +213,7 @@ def _run_on(
                 time=win.end,
                 ready_vms=win.ready_vms,
                 ideal_vms=win.ideal_vms,
-                submitted=win.submitted,
+                submitted=win.breakdown.counts.submitted,
                 successes=win.breakdown.counts.successes,
                 failures=win.breakdown.counts.failures,
                 penalty=win.breakdown.penalty,
@@ -294,26 +296,21 @@ def compare(a: ExperimentReport, b: ExperimentReport) -> ComparisonSummary:
 
 # -- CSV emission -----------------------------------------------------------
 
-_SUMMARY_FIELDS = (
-    "policy",
-    "seed",
-    "horizon",
-    "aggregate_utility",
-    "revenue",
-    "penalty",
-    "total_cost",
-    "total_debt",
-    "submitted",
-    "successes",
-    "failures",
-    "failed_fraction",
-    "adaptations",
-    "vms_launched",
-)
+_QTABLE_HEADER = ["queued_level", "billing_idle_level", "action", "q", "visits"]
+# summary.csv cells are parsed by the annotated type of their field
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def _money(x: float) -> str:
     return f"{x:.6f}"
+
+
+def _summary_cell(f, value) -> str:
+    """A ReportTotals value as written to summary.csv: floats to six
+    decimals unless the field says otherwise."""
+    if f.type == "float":
+        return f"{value:.{f.metadata.get('decimals', 6)}f}"
+    return str(value)
 
 
 def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
@@ -367,44 +364,35 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
         # full precision so a warm start restores the table exactly
         write(
             "qtable.csv",
-            ["queued_level", "billing_idle_level", "action", "q", "visits"],
+            _QTABLE_HEADER,
             [[q, i, a, repr(v), str(n)] for q, i, a, v, n in report.qtable_rows],
         )
-    t = report.totals
+    columns = fields(ReportTotals)
     write(
         "summary.csv",
-        list(_SUMMARY_FIELDS),
-        [
-            [
-                t.policy,
-                str(t.seed),
-                f"{t.horizon:.3f}",
-                _money(t.aggregate_utility),
-                _money(t.revenue),
-                _money(t.penalty),
-                _money(t.total_cost),
-                _money(t.total_debt),
-                str(t.submitted),
-                str(t.successes),
-                str(t.failures),
-                f"{t.failed_fraction:.6f}",
-                str(t.adaptations),
-                str(t.vms_launched),
-            ]
-        ],
+        [f.name for f in columns],
+        [[_summary_cell(f, getattr(report.totals, f.name)) for f in columns]],
     )
     return written
 
 
 def load_qtable(path: str) -> QTable:
     """Warm-start Q table from a previously emitted qtable.csv."""
+    rows = []
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["queued_level", "billing_idle_level", "action", "q", "visits"]:
+            if next(reader, None) != _QTABLE_HEADER:
                 raise ConfigError(f"{path}: not a qtable csv")
-            rows = [(r[0], r[1], r[2], float(r[3]), int(r[4])) for r in reader]
+            for row in reader:
+                try:
+                    queued, idle, action, q, visits = row
+                    q, visits = float(q), int(visits)
+                    if not math.isfinite(q) or visits < 0:
+                        raise ValueError("q must be finite and visits non-negative")
+                    rows.append((queued, idle, action, q, visits))
+                except ValueError as exc:
+                    raise ConfigError(f"{path}:{reader.line_num}: bad qtable row: {exc}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read qtable {path}: {exc}") from exc
     return QTable.from_rows(rows)
@@ -413,34 +401,24 @@ def load_qtable(path: str) -> QTable:
 def load_summary(out_dir: str) -> ReportTotals:
     """Rehydrate the totals of a previously emitted run directory."""
     path = os.path.join(out_dir, "summary.csv")
+    columns = fields(ReportTotals)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(_SUMMARY_FIELDS):
+            if next(reader, None) != [f.name for f in columns]:
                 raise ConfigError(f"{path}: unexpected summary header")
             values = next(reader, None)
             if values is None:
                 raise ConfigError(f"{path}: summary has no data row")
+            line = reader.line_num
     except OSError as exc:
         raise ConfigError(f"cannot read summary {path}: {exc}") from exc
-    m = dict(zip(_SUMMARY_FIELDS, values))
-    return ReportTotals(
-        aggregate_utility=float(m["aggregate_utility"]),
-        revenue=float(m["revenue"]),
-        penalty=float(m["penalty"]),
-        total_cost=float(m["total_cost"]),
-        total_debt=float(m["total_debt"]),
-        submitted=int(m["submitted"]),
-        successes=int(m["successes"]),
-        failures=int(m["failures"]),
-        failed_fraction=float(m["failed_fraction"]),
-        adaptations=int(m["adaptations"]),
-        vms_launched=int(m["vms_launched"]),
-        horizon=float(m["horizon"]),
-        policy=m["policy"],
-        seed=int(m["seed"]),
-    )
+    if len(values) != len(columns):
+        raise ConfigError(f"{path}:{line}: expected {len(columns)} columns, got {len(values)}")
+    try:
+        return ReportTotals(*(_PARSERS[f.type](v) for f, v in zip(columns, values)))
+    except ValueError as exc:
+        raise ConfigError(f"{path}:{line}: bad summary value: {exc}") from exc
 
 
 def compare_dirs(dir_a: str, dir_b: str) -> ComparisonSummary:

@@ -44,21 +44,13 @@ class StateKey(NamedTuple):
     billing_idle_level: Level
 
 
-@dataclass(frozen=True)
-class StateThresholds:
-    """Cut points for discretizing the two observed fractions.
-
-    Boundary values are exclusive for the outer bands, so a fraction equal
-    to a cut point falls to MEDIUM.
-    """
-
-    queued_low: float = 0.15
-    queued_high: float = 0.25
-    idle_low: float = 0.33
-    idle_high: float = 0.66
-
-
-DEFAULT_THRESHOLDS = StateThresholds()
+# Cut points for discretizing the two observed fractions.  Boundary values
+# are exclusive for the outer bands, so a fraction equal to a cut point
+# falls to MEDIUM.
+QUEUED_LOW = 0.15
+QUEUED_HIGH = 0.25
+IDLE_LOW = 0.33
+IDLE_HIGH = 0.66
 
 
 @dataclass
@@ -149,13 +141,11 @@ class QTable:
         return table
 
 
-def discretize_state(obs, thresholds: StateThresholds = DEFAULT_THRESHOLDS) -> StateKey:
+def discretize_state(obs) -> StateKey:
     """Map the two observed fractions onto the 9-cell state grid."""
     return StateKey(
-        queued_level=_level(obs.frac_vms_with_queue, thresholds.queued_low, thresholds.queued_high),
-        billing_idle_level=_level(
-            obs.frac_vms_idle_near_cycle, thresholds.idle_low, thresholds.idle_high
-        ),
+        queued_level=_level(obs.frac_vms_with_queue, QUEUED_LOW, QUEUED_HIGH),
+        billing_idle_level=_level(obs.frac_vms_idle_near_cycle, IDLE_LOW, IDLE_HIGH),
     )
 
 
@@ -273,22 +263,20 @@ class DebtAwarePolicy:
     def __init__(
         self,
         params: LearningParams | None = None,
-        thresholds: StateThresholds = DEFAULT_THRESHOLDS,
         seed: int = 0,
         qtable: QTable | None = None,
     ) -> None:
         self.params = params or LearningParams()
         self.params.validate()
-        self.thresholds = thresholds
         self.rng = random.Random(seed)
         self.qtable = qtable or QTable()
         self.pending: tuple[StateKey, Action] | None = None
 
     def candidates(self, obs) -> tuple[Action, ...]:
-        return allowed_actions(discretize_state(obs, self.thresholds))
+        return allowed_actions(discretize_state(obs))
 
     def decide(self, obs) -> Action:
-        state = discretize_state(obs, self.thresholds)
+        state = discretize_state(obs)
         allowed = allowed_actions(state)
         action = select_action(self.qtable, state, allowed, self.params.epsilon, self.rng)
         self.pending = (state, action)
@@ -298,7 +286,7 @@ class DebtAwarePolicy:
         if self.pending is None:
             raise RuntimeError("observe_reward called with no pending decision")
         state, action = self.pending
-        next_state = discretize_state(obs, self.thresholds)
+        next_state = discretize_state(obs)
         alpha = alpha_for(self.qtable.visit_count(state, action), self.params)
         q_update(
             self.qtable,

@@ -13,6 +13,11 @@ that finishes at time <= t has left its VM before an arrival at t is
 dispatched, a VM that turns ready at t serves an arrival at t at once, and
 a decision point at t sees every arrival, completion and billing boundary
 at or before t.  Remaining ties break on VM id.
+
+The cluster keeps no window state.  Billing, request counts and each VM's
+busy time are readings of the cluster at a time, so a monitoring window is
+measured by subtracting the readings taken when it opened from those taken
+when it closes.
 """
 
 from __future__ import annotations
@@ -92,8 +97,9 @@ class VmInstance:
     finish of the last request ever assigned (0.0 before any).  Once the
     cluster is settled at time t, ``jobs`` holds exactly the requests still
     outstanding at t, and a ready VM is executing the first of them.
-    Billing needs only ``anchor`` and ``released_at``: see
-    ``billing_cycles_charged``.
+    ``served`` is the total service time of the requests counted so far:
+    see ``busy_time``.  Billing needs only ``anchor`` and ``released_at``:
+    see ``billing_cycles_charged``.
     """
 
     __slots__ = (
@@ -103,7 +109,7 @@ class VmInstance:
         "anchor",
         "jobs",
         "last_finish",
-        "busy_in_window",
+        "served",
     )
 
     def __init__(self, vm_id: int, ready_at: float, anchor: float):
@@ -113,7 +119,7 @@ class VmInstance:
         self.anchor = anchor
         self.jobs: deque[tuple[float, float, bool]] = deque()
         self.last_finish = 0.0
-        self.busy_in_window = 0.0
+        self.served = 0.0
 
     def outstanding(self) -> int:
         return len(self.jobs)
@@ -122,11 +128,12 @@ class VmInstance:
         return not self.jobs
 
     def clone(self) -> VmInstance:
-        """Same lifecycle and schedule; the busy-time counter starts at zero."""
+        """An independent copy of the VM, schedule included."""
         vm = VmInstance(self.id, self.ready_at, self.anchor)
         vm.released_at = self.released_at
         vm.jobs = deque(self.jobs)
         vm.last_finish = self.last_finish
+        vm.served = self.served
         return vm
 
 
@@ -162,6 +169,19 @@ def billing_cycles_charged(
     return math.ceil(cycles - _EPS) if close else math.floor(cycles + _EPS)
 
 
+def busy_time(vm: VmInstance, t: float) -> float:
+    """Time the VM has spent serving requests by ``t``; the one utilization
+    rule.  The VM must be settled at ``t``, as ``Cluster.advance`` leaves it:
+    its counted requests give ``served``, and the request it is executing
+    adds the part that has elapsed."""
+    busy = vm.served
+    if vm.jobs:
+        start = vm.jobs[0][0]
+        if start < t:
+            busy += t - start
+    return busy
+
+
 def _time_to_boundary(vm: VmInstance, now: float, billing_cycle: float) -> float:
     """Time from ``now`` to the VM's next billing boundary (a full cycle at one)."""
     return billing_cycle - ((now - vm.anchor) % billing_cycle)
@@ -192,8 +212,9 @@ class Cluster:
     ``advance`` settles every VM at the time it advances to by counting the
     requests finished by then.  Counters, ``outstanding_requests`` and each
     VM's ``jobs`` therefore describe the cluster at that time once
-    ``advance`` returns.  Billing keeps no state: ``counts(t)`` reads the
-    cycles charged by t from each VM's anchor and release time.
+    ``advance`` returns.  The cluster keeps no window state: ``counts(t)``
+    reads the cycles charged by t from each VM's anchor and release time,
+    and ``busy_time`` reads a VM's busy time from its schedule.
 
     Requests are only read: a request's schedule and SLA verdict live in
     its VM's ``jobs``, so the primary run and every replay can share one
@@ -210,7 +231,6 @@ class Cluster:
         self.active: dict[int, VmInstance] = {}
         self.retired: dict[int, VmInstance] = {}
         self.next_vm_id = 0
-        self.window_mark = 0.0
         self.submitted = 0
         self.successes = 0
         self.failures = 0
@@ -263,8 +283,8 @@ class Cluster:
         return sum(len(vm.jobs) for vms in (self.active, self.retired) for vm in vms.values())
 
     def counts(self, t: float, close: bool = False) -> WindowCounts:
-        """Requests counted so far and billing cycles charged by ``t``
-        (every started one when ``t`` closes the bill)."""
+        """Requests submitted and counted so far, and billing cycles charged
+        by ``t`` (every started one when ``t`` closes the bill)."""
         cycle = self.config.billing_cycle
         charged = sum(
             billing_cycles_charged(vm, t, cycle, close)
@@ -272,7 +292,7 @@ class Cluster:
             for vm in vms.values()
             if vm.anchor <= t
         )
-        return WindowCounts(self.successes, self.failures, charged)
+        return WindowCounts(self.submitted, self.successes, self.failures, charged)
 
     # -- request flow ------------------------------------------------------
 
@@ -311,16 +331,15 @@ class Cluster:
         return vm.id
 
     def _settle_vm(self, vm: VmInstance, now: float) -> None:
-        """Count the VM's requests that finish by ``now`` and their busy time."""
+        """Count the VM's requests that finish by ``now`` and their service time."""
         jobs = vm.jobs
-        mark = self.window_mark
         while jobs and jobs[0][1] <= now:
             start, finish, ok = jobs.popleft()
             if ok:
                 self.successes += 1
             else:
                 self.failures += 1
-            vm.busy_in_window += finish - (start if start > mark else mark)
+            vm.served += finish - start
 
     def advance(self, until: float, arrivals: list[Request], idx: int) -> int:
         """Dispatch every arrival with time <= until, then settle every VM at
@@ -409,7 +428,7 @@ class Checkpoint:
         idx = cluster.advance(end, self.arrivals, idx)
         if action is Action.MAINTAIN:
             self._paused = (cluster, idx, end, before)
-        return (cluster.counts(end) - before).utility(self.config, window=(self.time, end))
+        return (cluster.counts(end) - before).utility(self.config)
 
 
 @dataclass
@@ -418,7 +437,6 @@ class WindowMetrics:
 
     start: float
     end: float
-    submitted: int
     breakdown: UtilityBreakdown
     ready_vms: int
     ideal_vms: int
@@ -500,8 +518,7 @@ class Simulation:
         cumulative = 0.0
         idx = 0
         win_start = 0.0
-        snap_submitted = 0
-        snap = cluster.counts(0.0)
+        snap, marks = self._open_window(win_start)
         last_adaptation = -_INF
         pending: _Pending | None = None
         # a learning policy values its adaptations proactively
@@ -513,11 +530,9 @@ class Simulation:
             if not final and t - last_adaptation < cfg.cool_down - _EPS:
                 continue
             # close the window [win_start, t]; the horizon closes the bill
-            self._flush_busy(t)
-            win_submitted = cluster.submitted - snap_submitted
             counts = cluster.counts(t, close=final) - snap
-            obs = self._observe(t, win_start)
-            breakdown = counts.utility(cfg, window=(win_start, t))
+            obs = self._observe(t, win_start, marks)
+            breakdown = counts.utility(cfg)
             cumulative += breakdown.utility
             # the cluster before this decision point's action, which the
             # pending adaptation's valuation forks as well
@@ -537,7 +552,7 @@ class Simulation:
                 if record_debt and not final:
                     policy.observe_reward(record.debt, obs)
             windows.append(
-                self._window_metrics(win_start, t, win_submitted, breakdown, obs, pending, record)
+                self._window_metrics(win_start, t, breakdown, obs, pending, record)
             )
             if final:
                 break
@@ -560,11 +575,7 @@ class Simulation:
             )
             last_adaptation = t
             win_start = t
-            cluster.window_mark = t
-            for vm in cluster.active.values():
-                vm.busy_in_window = 0.0
-            snap_submitted = cluster.submitted
-            snap = cluster.counts(t)
+            snap, marks = self._open_window(t)
 
         revenue = sum(w.breakdown.revenue for w in windows)
         penalty = sum(w.breakdown.penalty for w in windows)
@@ -574,7 +585,6 @@ class Simulation:
             penalty=penalty,
             vm_cost=vm_cost,
             utility=revenue - penalty - vm_cost,
-            window=(0.0, horizon),
             counts=cluster.counts(horizon, close=True),
         )
         return SimulationResult(
@@ -590,6 +600,12 @@ class Simulation:
         )
 
     # -- helpers -----------------------------------------------------------
+
+    def _open_window(self, t: float) -> tuple[WindowCounts, dict[int, float]]:
+        """The cluster's counts and each active VM's busy time at ``t``, which
+        the close of the window opening at ``t`` subtracts."""
+        cluster = self.cluster
+        return cluster.counts(t), {vm.id: busy_time(vm, t) for vm in cluster.active.values()}
 
     def _settle(
         self,
@@ -623,8 +639,7 @@ class Simulation:
                 # checkpoint; MAINTAIN from there runs the rest of its window
                 rest = checkpoint.replay(Action.MAINTAIN, window, start=pending.time)
                 joined = measured.counts + rest.counts
-                span = (pending.time, rest.window[1])
-                known = {pending.action: joined.utility(cfg, span).utility}
+                known = {pending.action: joined.utility(cfg).utility}
         else:
             window = elapsed
             if measured is not None:
@@ -648,7 +663,6 @@ class Simulation:
         self,
         start: float,
         end: float,
-        submitted: int,
         breakdown: UtilityBreakdown,
         obs: ClusterObservation,
         pending: _Pending | None,
@@ -668,22 +682,15 @@ class Simulation:
         return WindowMetrics(
             start=start,
             end=end,
-            submitted=submitted,
             breakdown=breakdown,
             ready_vms=obs.ready_vms,
             ideal_vms=ideal,
             record=record,
         )
 
-    def _flush_busy(self, now: float) -> None:
-        # in-flight executions contribute their elapsed portion to the closing
-        # window; the remainder accrues later because window_mark moves to now
-        mark = self.cluster.window_mark
-        for vm in self.cluster.active.values():
-            if vm.jobs and vm.jobs[0][0] < now:
-                vm.busy_in_window += now - max(vm.jobs[0][0], mark)
-
-    def _observe(self, now: float, win_start: float) -> ClusterObservation:
+    def _observe(self, now: float, win_start: float, marks: dict[int, float]) -> ClusterObservation:
+        """The observation closing the window opened at ``win_start``;
+        ``marks`` holds each VM's busy time there."""
         cfg = self.config
         ready = [vm for vm in self.cluster.active.values() if vm.ready_at <= now]
         n_ready = len(ready)
@@ -699,7 +706,8 @@ class Simulation:
         utils = []
         for vm in ready:
             span = now - max(win_start, vm.ready_at)
-            utils.append(min(1.0, max(0.0, vm.busy_in_window / span)) if span > 0 else 0.0)
+            busy = busy_time(vm, now) - marks[vm.id]
+            utils.append(min(1.0, max(0.0, busy / span)) if span > 0 else 0.0)
         return ClusterObservation(
             time=now,
             ready_vms=n_ready,

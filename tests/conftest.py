@@ -48,6 +48,20 @@ def dispatch_alone(work: float) -> tuple[float, float, bool]:
     return job
 
 
+def recorded_jobs(cluster):
+    """Log ``(vm_id, start, finish, ok)`` of every request the cluster dispatches."""
+    log = []
+    dispatch = cluster.dispatch
+
+    def recording(req, now):
+        vm_id = dispatch(req, now)
+        log.append((vm_id, *cluster.active[vm_id].jobs[-1]))
+        return vm_id
+
+    cluster.dispatch = recording
+    return log
+
+
 def oracle_cycles(vm, t: float, cycle: float, close: bool = False) -> int:
     """Cycles charged to ``vm`` by ``t``, counted boundary by boundary.
 

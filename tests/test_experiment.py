@@ -446,3 +446,52 @@ def test_cli_run_with_trace_and_warm_start(tmp_path):
     ])
     assert rc == 0
     assert (out / "qtable.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "bad_row, line",
+    [
+        ("\n", 3),
+        ("low,low,maintain\n", 3),
+        ("low,low,maintain,zero,1\n", 3),
+        ("low,low,maintain,nan,1\n", 3),
+        ("low,low,maintain,-0.5,-1\n", 3),
+    ],
+)
+def test_cli_rejects_malformed_qtable(tmp_path, capsys, bad_row, line):
+    cfg = write_cli_config(tmp_path, horizon=600.0)
+    qtable = tmp_path / "qtable.csv"
+    qtable.write_text(
+        "queued_level,billing_idle_level,action,q,visits\nlow,low,launch,-0.5,2\n" + bad_row
+    )
+    out = tmp_path / "never"
+    rc = cli_main([
+        "run", "--config", str(cfg), "--policy", "debt-aware", "--qtable-in", str(qtable),
+        "--out", str(out),
+    ])
+    assert rc == 1
+    assert not out.exists()
+    assert f"{qtable}:{line}: bad qtable row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cut", [1, 13])
+def test_cli_compare_rejects_short_summary_row(tmp_path, capsys, cut):
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    emit_csv(report_stub(utility=1.0), str(good))
+    emit_csv(report_stub(utility=2.0), str(bad))
+    header, row = (bad / "summary.csv").read_text().splitlines()
+    (bad / "summary.csv").write_text(header + "\n" + ",".join(row.split(",")[:cut]) + "\n")
+    assert cli_main(["compare", str(good), str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert f"{bad / 'summary.csv'}:2: expected 14 columns, got {cut}" in err
+
+
+def test_summary_columns_follow_report_totals(tmp_path):
+    report = report_stub(utility=1.25, failed=0.125, cost=0.5, debt=-0.25, horizon=900.0)
+    emit_csv(report, str(tmp_path))
+    assert (tmp_path / "summary.csv").read_text() == (
+        "policy,seed,horizon,aggregate_utility,revenue,penalty,total_cost,total_debt,"
+        "submitted,successes,failures,failed_fraction,adaptations,vms_launched\n"
+        "stub,0,900.000,1.250000,0.000000,0.000000,0.500000,-0.250000,0,0,0,0.125000,1,0\n"
+    )
+    assert load_summary(str(tmp_path)) == report.totals

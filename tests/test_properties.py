@@ -13,8 +13,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import FixedPolicy, captured_checkpoints, direct_replays, make_trace, oracle_cycles
-from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy
+from conftest import (
+    FixedPolicy,
+    captured_checkpoints,
+    direct_replays,
+    make_trace,
+    oracle_cycles,
+    recorded_jobs,
+)
+from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingParams, VotingPolicy
 from elastidebt.sim import Cluster, SimConfig, Simulation
 from test_acceptance import build_checkpoint, oracle_utility
 
@@ -149,10 +156,19 @@ class RandomPolicy(FixedPolicy):
         return self.rng.choice(ACTION_ORDER)
 
 
+def seeded_voting(seed):
+    """Voting with thresholds drawn from the seed; low thresholds make it
+    launch VMs, which then turn ready inside a window, as well as release."""
+    rng = random.Random(seed)
+    lower = rng.uniform(0.0, 0.1)
+    return VotingPolicy(VotingParams(lower_cpu=lower, upper_cpu=rng.uniform(lower + 0.01, 0.3)))
+
+
 @st.composite
-def runs(draw):
+def runs(draw, policies=(DebtAwarePolicy, RandomPolicy), min_arrivals=0):
     """A config, a horizon that is no multiple of the decision interval,
-    arrivals up to the horizon and a policy."""
+    at least ``min_arrivals`` arrivals up to the horizon and a policy built
+    from ``policies`` with a seed."""
     interval = float(draw(st.integers(5, 300)))
     # zero whole intervals puts the first decision point past the horizon
     horizon = interval * (draw(st.integers(0, 8)) + draw(st.floats(0.01, 0.99)))
@@ -169,9 +185,9 @@ def runs(draw):
     )
     arrival = st.floats(0.0, horizon)
     work = st.sampled_from([0.5, 2.0, 20.0, 100.0])
-    arrivals = draw(st.lists(st.tuples(arrival, work), max_size=60))
+    arrivals = draw(st.lists(st.tuples(arrival, work), min_size=min_arrivals, max_size=60))
     seed = draw(st.integers(0, 2**16))
-    policy = draw(st.sampled_from([DebtAwarePolicy, RandomPolicy]))
+    policy = draw(st.sampled_from(policies))
     return cfg, horizon, arrivals, policy(seed=seed)
 
 
@@ -226,3 +242,36 @@ def test_full_run_invariants(run):
         span = cfg.decision_interval + cfg.billing_cycle if proactive else win.end - rec.time
         per_action = rec.per_action_utilities
         assert per_action == direct_replays(checkpoints[rec.time], per_action, span)
+
+
+@PROPERTY_SETTINGS
+# enough arrivals that VMs launched mid-run get work in their first window
+@given(runs(policies=(seeded_voting,), min_arrivals=40))
+def test_utilization_is_busy_overlap_with_window(run):
+    # each ready VM reports the time its requests ran inside the window,
+    # over the part of the window in which it was ready
+    cfg, horizon, arrivals, policy = run
+    sim = Simulation(cfg)
+    jobs = recorded_jobs(sim.cluster)
+    observe = sim._observe
+    observed = []
+
+    def checked(now, win_start, *rest):
+        obs = observe(now, win_start, *rest)
+        ready = [vm for vm in sim.cluster.active.values() if vm.ready_at <= now]
+        assert len(obs.per_vm_utilization) == len(ready)
+        for vm, util in zip(ready, obs.per_vm_utilization):
+            low = max(win_start, vm.ready_at)
+            busy = sum(
+                max(0.0, min(finish, now) - max(start, low))
+                for vm_id, start, finish, _ in jobs
+                if vm_id == vm.id
+            )
+            expected = busy / (now - low) if now > low else 0.0
+            assert util == pytest.approx(expected, rel=1e-9), (vm.id, win_start, now)
+        observed.append(now)
+        return obs
+
+    sim._observe = checked
+    result = sim.run(make_trace(arrivals), policy, horizon)
+    assert observed == [w.end for w in result.windows]

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from conftest import FixedPolicy, dispatch_alone, make_trace, oracle_cycles
+from conftest import FixedPolicy, dispatch_alone, make_trace, oracle_cycles, recorded_jobs
 from elastidebt.policies import Action
 from elastidebt.sim import (
     Checkpoint,
@@ -37,20 +37,6 @@ def test_execution_time_is_work_over_capacity():
 def dispatch_all(cluster, now, *works):
     """Dispatch one request per work size at ``now``; returns the chosen VM ids."""
     return [cluster.dispatch(Request(100 + i, now, work), now) for i, work in enumerate(works)]
-
-
-def recorded_jobs(cluster):
-    """Log ``(vm_id, start, finish, ok)`` of every request the cluster dispatches."""
-    log = []
-    dispatch = cluster.dispatch
-
-    def recording(req, now):
-        vm_id = dispatch(req, now)
-        log.append((vm_id, *cluster.active[vm_id].jobs[-1]))
-        return vm_id
-
-    cluster.dispatch = recording
-    return log
 
 
 def test_dispatch_prefers_fewest_outstanding():
@@ -263,9 +249,9 @@ def observed_utilization(arrivals, window_end, cfg=None, launch_at=None):
     if launch_at is not None:
         sim.cluster.launch_vm(launch_at)
     requests = make_trace(arrivals).requests
+    marks = {vm.id: 0.0 for vm in sim.cluster.active.values()}
     sim.cluster.advance(window_end, requests, 0)
-    sim._flush_busy(window_end)
-    return sim._observe(window_end, 0.0).per_vm_utilization
+    return sim._observe(window_end, 0.0, marks).per_vm_utilization
 
 
 def test_utilization_idle_and_busy_window():
@@ -340,10 +326,10 @@ def test_conservation_holds_at_every_decision_point():
     sim = Simulation(SimConfig())
     original = sim._observe
 
-    def checked(now, win_start):
+    def checked(now, win_start, marks):
         c = sim.cluster
         assert c.submitted - c.successes - c.failures == c.outstanding_requests()
-        return original(now, win_start)
+        return original(now, win_start, marks)
 
     sim._observe = checked
     trace = generate_trace(default_profile(), 1500.0, seed=13)
@@ -443,7 +429,7 @@ def test_billed_cycles_cover_busy_span():
     interior = []
     cycle = cfg.billing_cycle
 
-    def checked(now, win_start):
+    def checked(now, win_start, marks):
         if now < horizon:
             # before the close: each boundary passed so far is charged once,
             # and the cycle in progress is not charged yet
@@ -457,7 +443,7 @@ def test_billed_cycles_cover_busy_span():
                 busy = last_finish - first_start
                 assert cycles + 1 >= math.ceil(busy / cycle - 1e-9)
             assert sim.cluster.counts(now).cycles == charged
-        return observe(now, win_start)
+        return observe(now, win_start, marks)
 
     sim._observe = checked
     result = sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
@@ -496,7 +482,7 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
     assert len(unrecorded.records) == len(recorded.records) > 0
 
     def primary(windows):
-        return [(w.start, w.end, w.submitted, w.breakdown, w.ready_vms) for w in windows]
+        return [(w.start, w.end, w.breakdown, w.ready_vms) for w in windows]
 
     assert primary(unrecorded.windows) == primary(recorded.windows)
 
