@@ -19,7 +19,7 @@ from elastidebt import (
 flat = RateProfile(segments=[Segment(0.0, 60.0, base_rate=2.0)], arrival_mode="deterministic")
 trace = generate_trace(flat, 10.0, seed=0)
 print("deterministic 2 req/s for 10 s ->", len(trace), "arrivals")
-print("  first five:", [r.arrival_time for r in trace.requests[:5]])
+print("  first five:", trace.arrivals[:5])
 
 flat.arrival_mode = "poisson"
 for seed in (1, 2):
@@ -35,7 +35,7 @@ for hour in range(7):
     print(f"  t = {hour}h  rate = {prof.rate_at(min(t, 21599.0)):5.1f}")
 
 trace = generate_trace(prof, 21600.0, seed=42)
-times = np.array([r.arrival_time for r in trace.requests])
+times = np.array(trace.arrivals)
 print(f"full trace: {len(trace)} requests, mean rate {len(trace) / 21600:.1f} req/s")
 per_hour = np.histogram(times, bins=6, range=(0, 21600))[0]
 print("  arrivals per hour:", per_hour.tolist())

@@ -3,7 +3,7 @@
 Run:  python3 demos/02_cluster_anatomy.py
 """
 
-from elastidebt import Request, SimConfig, WorkloadTrace, run_simulation
+from elastidebt import SimConfig, WorkloadTrace, run_simulation
 from elastidebt.policies import ACTION_ORDER, Action
 from elastidebt.sim import Cluster, VmInstance, billing_cycles_charged
 
@@ -25,20 +25,21 @@ class Maintain:
 
 cluster = Cluster(SimConfig())
 vm_id = cluster.launch_vm(0.0, initial=True)
-reqs = [Request(i, 0.0, 2.0) for i in range(10)]
-cluster.advance(0.0, reqs, 0)  # dispatch all ten; each is scheduled on arrival
+# a trace is two columns: arrival times and work (MI)
+burst = WorkloadTrace(arrivals=[0.0] * 10, work=[2.0] * 10, duration=0.0)
+cluster.advance(0.0, burst, 0)  # dispatch all ten; each is scheduled on arrival
 
 print("ten 2 MI requests at t=0 on a single 10 MIPS VM:")
-for r, (start, finish, ok) in zip(reqs, cluster.active[vm_id].jobs):
+for r, (start, finish, ok) in zip(burst.requests, cluster.active[vm_id].jobs):
     verdict = "ok  " if ok else "LATE"
     print(f"  req {r.id}: start {start:.1f}  finish {finish:.1f}  {verdict}")
-cluster.advance(600.0, reqs, len(reqs))
+cluster.advance(600.0, burst, len(burst))
 print(f"successes {cluster.successes}, failures {cluster.failures}")
 
 # --- 2. spin-up lag: work dispatched to a machine that is still booting ------
 
 cfg = SimConfig(initial_vms=1)
-late = [Request(0, 0.0, 2.0)]
+late = WorkloadTrace(arrivals=[0.0], work=[2.0], duration=10.0)
 
 
 class LaunchOnce(Maintain):
@@ -52,7 +53,7 @@ class LaunchOnce(Maintain):
         return Action.MAINTAIN
 
 
-result = run_simulation(cfg, WorkloadTrace(late, 10.0), LaunchOnce(), 600.0)
+result = run_simulation(cfg, late, LaunchOnce(), 600.0)
 print(f"\nfleet after one launch decision: {result.vms_launched} VMs")
 print(f"window count {len(result.windows)}, VM cost {result.totals.vm_cost:.5f}")
 print("(the launched VM bills from its request time even while booting)")

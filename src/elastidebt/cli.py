@@ -81,7 +81,7 @@ def _cmd_gen_trace(args) -> int:
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# generated from {args.profile} seed={args.seed} duration={args.duration}\n")
         fh.write(serialize_trace(trace))
-    print(f"wrote {len(trace.requests)} requests to {args.out}")
+    print(f"wrote {len(trace)} requests to {args.out}")
     return 0
 
 

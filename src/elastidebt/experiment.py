@@ -14,7 +14,15 @@ import os
 import time
 from dataclasses import dataclass, field, fields, replace
 
-from .policies import DebtAwarePolicy, LearningParams, QTable, VotingParams, VotingPolicy
+from .policies import (
+    Action,
+    DebtAwarePolicy,
+    LearningParams,
+    Level,
+    QTable,
+    VotingParams,
+    VotingPolicy,
+)
 from .sim import SimConfig, SimulationResult, run_simulation
 from .workload import (
     RateProfile,
@@ -377,22 +385,36 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
 
 
 def load_qtable(path: str) -> QTable:
-    """Warm-start Q table from a previously emitted qtable.csv."""
+    """Warm-start Q table from a previously emitted qtable.csv.
+
+    Every row names known levels and a known action, and each (state,
+    action) pair appears once; a bad row is reported with its line.
+    """
     rows = []
+    seen: dict[tuple[str, str, str], int] = {}
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != _QTABLE_HEADER:
                 raise ConfigError(f"{path}: not a qtable csv")
             for row in reader:
+                line = reader.line_num
                 try:
                     queued, idle, action, q, visits = row
+                    Level(queued), Level(idle), Action(action)  # unknown names raise
                     q, visits = float(q), int(visits)
                     if not math.isfinite(q) or visits < 0:
                         raise ValueError("q must be finite and visits non-negative")
-                    rows.append((queued, idle, action, q, visits))
                 except ValueError as exc:
-                    raise ConfigError(f"{path}:{reader.line_num}: bad qtable row: {exc}") from exc
+                    raise ConfigError(f"{path}:{line}: bad qtable row: {exc}") from exc
+                key = (queued, idle, action)
+                if key in seen:
+                    raise ConfigError(
+                        f"{path}:{line}: bad qtable row: ({queued}, {idle}) {action}"
+                        f" repeats line {seen[key]}"
+                    )
+                seen[key] = line
+                rows.append((queued, idle, action, q, visits))
     except OSError as exc:
         raise ConfigError(f"cannot read qtable {path}: {exc}") from exc
     return QTable.from_rows(rows)
@@ -435,7 +457,7 @@ def paired_experiment(
 ) -> tuple[ExperimentReport, ExperimentReport]:
     """Run debt-aware and voting on the identical workload for one seed.
 
-    The workload is built once and both runs read the same requests.
+    The workload is built once and both runs read the same trace.
     """
     debt_cfg = replace(base, policy="debt-aware", seed=seed)
     vote_cfg = replace(base, policy="voting", seed=seed)

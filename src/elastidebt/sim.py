@@ -23,13 +23,15 @@ when it closes.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 from . import economics
 from .economics import AdaptationRecord, UtilityBreakdown, WindowCounts
 from .policies import ACTION_ORDER, Action, StateKey, discretize_state
-from .workload import Request, WorkloadTrace
+from .workload import Request, WorkloadTrace, first_out_of_order
 
 _EPS = 1e-9
 _INF = float("inf")
@@ -216,9 +218,9 @@ class Cluster:
     reads the cycles charged by t from each VM's anchor and release time,
     and ``busy_time`` reads a VM's busy time from its schedule.
 
-    Requests are only read: a request's schedule and SLA verdict live in
-    its VM's ``jobs``, so the primary run and every replay can share one
-    trace.
+    The trace is only read, one arrival time and one work value at a time:
+    a request's schedule and SLA verdict live in its VM's ``jobs``, so the
+    primary run and every replay share one trace.
 
     ``active`` is kept in ascending id order: ``launch_vm`` adds ids in
     increasing order, ``release_vm`` only deletes and ``Checkpoint.replay``
@@ -296,9 +298,10 @@ class Cluster:
 
     # -- request flow ------------------------------------------------------
 
-    def dispatch(self, req: Request, now: float) -> int:
-        """Schedule the request on the live VM with the fewest outstanding
-        requests, lowest id on ties, and return that VM's id.
+    def dispatch(self, now: float, work: float) -> int:
+        """Schedule a request of ``work`` MI arriving at ``now`` on the live
+        VM with the fewest outstanding requests, lowest id on ties, and
+        return that VM's id.
 
         Live VMs include those still spinning up: an arrival can be parked on
         a pending VM with nothing outstanding and starts when it is ready.
@@ -325,8 +328,8 @@ class Cluster:
                     vm, load = cand, len(jobs)
             # a busy VM's last finish is after now and after it turned ready
             start = vm.last_finish
-        finish = start + req.work / self._capacity
-        vm.jobs.append((start, finish, finish - req.arrival_time < self._sla_limit))
+        finish = start + work / self._capacity
+        vm.jobs.append((start, finish, finish - now < self._sla_limit))
         vm.last_finish = finish
         return vm.id
 
@@ -341,23 +344,20 @@ class Cluster:
                 self.failures += 1
             vm.served += finish - start
 
-    def advance(self, until: float, arrivals: list[Request], idx: int) -> int:
-        """Dispatch every arrival with time <= until, then settle every VM at
-        until; returns the index of the first unconsumed arrival."""
-        first = idx
-        n = len(arrivals)
+    def advance(self, until: float, trace: WorkloadTrace, idx: int) -> int:
+        """Dispatch every arrival of the trace from index ``idx`` with time
+        <= until, then settle every VM at until; returns the index of the
+        first unconsumed arrival."""
+        arrivals = trace.arrivals
+        end = bisect_right(arrivals, until, idx)
         dispatch = self.dispatch
-        while idx < n:
-            req = arrivals[idx]
-            if req.arrival_time > until:
-                break
-            dispatch(req, req.arrival_time)
-            idx += 1
-        self.submitted += idx - first
+        for now, work in zip(arrivals[idx:end], trace.work[idx:end]):
+            dispatch(now, work)
+        self.submitted += end - idx
         for vms in (self.active, self.retired):
             for vm in vms.values():
                 self._settle_vm(vm, until)
-        return idx
+        return end
 
 
 class Checkpoint:
@@ -365,10 +365,10 @@ class Checkpoint:
 
     ``replay`` clones the snapshot into a private cluster (a fork), applies
     one candidate action, runs the window with no further adaptations and
-    returns the window's utility.  Request objects are shared read-only;
-    nothing in the primary run is modified.  The window is charged the
-    cycles the fork's VMs are charged by its end less those they were
-    charged by the checkpoint, which earlier windows paid.  Retired VMs
+    returns the window's utility.  The trace is shared read-only; nothing
+    in the primary run is modified.  The window is charged the cycles the
+    fork's VMs are charged by its end less those they were charged by the
+    checkpoint, which earlier windows paid.  Retired VMs
     with no work left and no cycle still to pay are not snapshotted.
 
     The last MAINTAIN fork stays paused where its replay stopped, and a
@@ -386,12 +386,12 @@ class Checkpoint:
         config: SimConfig,
         time: float,
         cluster: Cluster,
-        arrivals: list[Request],
+        trace: WorkloadTrace,
         arrival_idx: int,
     ):
         self.config = config
         self.time = time
-        self.arrivals = arrivals
+        self.trace = trace
         self.arrival_idx = arrival_idx
         self.next_vm_id = cluster.next_vm_id
         # fork, arrival index, time, and the fork's counts at the checkpoint
@@ -425,7 +425,7 @@ class Checkpoint:
             cluster.apply(action, self.time)
             idx = self.arrival_idx
             before = cluster.counts(self.time)
-        idx = cluster.advance(end, self.arrivals, idx)
+        idx = cluster.advance(end, self.trace, idx)
         if action is Action.MAINTAIN:
             self._paused = (cluster, idx, end, before)
         return (cluster.counts(end) - before).utility(self.config)
@@ -455,7 +455,8 @@ class SimulationResult:
     in_flight_at_end: int
     vms_launched: int
     horizon: float
-    requests: list[Request] = field(repr=False, default_factory=list)
+    # the trace's read-only ``WorkloadTrace.requests`` view
+    requests: Sequence[Request] = field(repr=False, default=())
 
 
 def _decision_ticks(interval: float, horizon: float):
@@ -502,16 +503,13 @@ class Simulation:
         self._ran = True
         if not 0 < horizon < _INF:
             raise ValueError(f"horizon must be positive and finite, got {horizon}")
-        if trace.requests and trace.requests[-1].arrival_time > horizon:
+        if trace.arrivals and trace.arrivals[-1] > horizon:
             raise ValueError("trace extends beyond the horizon")
-        prev = -_INF
-        for req in trace.requests:
-            if req.arrival_time < prev:
-                raise ValueError(f"trace arrivals are out of order at request {req.id}")
-            prev = req.arrival_time
+        unordered = first_out_of_order(trace.arrivals)
+        if unordered is not None:
+            raise ValueError(f"trace arrivals are out of order at request {unordered}")
         cfg = self.config
         cluster = self.cluster
-        requests = trace.requests
 
         windows: list[WindowMetrics] = []
         records: list[AdaptationRecord] = []
@@ -526,7 +524,7 @@ class Simulation:
 
         for t in _decision_ticks(cfg.decision_interval, horizon):
             final = t == horizon
-            idx = cluster.advance(t, requests, idx)
+            idx = cluster.advance(t, trace, idx)
             if not final and t - last_adaptation < cfg.cool_down - _EPS:
                 continue
             # close the window [win_start, t]; the horizon closes the bill
@@ -538,7 +536,7 @@ class Simulation:
             # pending adaptation's valuation forks as well
             checkpoint = None
             if record_debt and not final:
-                checkpoint = Checkpoint(cfg, t, cluster, requests, idx)
+                checkpoint = Checkpoint(cfg, t, cluster, trace, idx)
 
             record = None
             if pending is not None:
@@ -596,7 +594,7 @@ class Simulation:
             in_flight_at_end=cluster.outstanding_requests(),
             vms_launched=cluster.next_vm_id,
             horizon=horizon,
-            requests=requests,
+            requests=trace.requests,
         )
 
     # -- helpers -----------------------------------------------------------

@@ -1,17 +1,21 @@
 """Synthetic request-arrival traces and trace-file parsing.
 
-Traces are sequences of timestamped requests, each carrying an amount of
-compute work in millions of instructions (MI).  They are produced either
-from a piecewise-sinusoidal rate profile (deterministic or Poisson
-arrivals) or parsed from a two-column text file.
+A trace is two float columns, each request's arrival time and its compute
+work in millions of instructions (MI).  Traces are produced either from a
+piecewise-sinusoidal rate profile (deterministic or Poisson arrivals) or
+parsed from a two-column text file.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import IO, Iterable, Union
+from functools import cached_property
+from itertools import count, islice
+from operator import le
+from typing import IO, Iterable, Iterator, Union
 
 import numpy as np
 
@@ -36,10 +40,10 @@ class ProfileError(ValueError):
 
 @dataclass(slots=True)
 class Request:
-    """One incoming job.
+    """One request of a trace, built on access by ``WorkloadTrace.requests``.
 
-    Simulations only read requests; the schedule FIFO service gives a
-    request is kept by the VM it was dispatched to.
+    ``id`` is its index in the trace; changing a field changes nothing in
+    the trace.
     """
 
     id: int
@@ -47,15 +51,72 @@ class Request:
     work: float
 
 
-@dataclass
-class WorkloadTrace:
-    """Requests sorted by non-decreasing arrival time, plus the span they cover."""
+class RequestView(Sequence):
+    """Read-only sequence of ``Request`` items over a trace's columns.
 
-    requests: list[Request]
-    duration: float
+    Each item is built when it is read, so the view costs nothing until
+    iterated.  It compares equal to another view with equal columns, or to
+    any sequence of equal requests.
+    """
+
+    __slots__ = ("_arrivals", "_work")
+
+    def __init__(self, arrivals: Sequence[float], work: Sequence[float]):
+        self._arrivals = arrivals
+        self._work = work
 
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self._arrivals)
+
+    def __getitem__(self, i):
+        idx = range(len(self._arrivals))[i]
+        if isinstance(idx, range):
+            return [Request(j, self._arrivals[j], self._work[j]) for j in idx]
+        return Request(idx, self._arrivals[idx], self._work[idx])
+
+    def __iter__(self) -> Iterator[Request]:
+        return map(Request, count(), self._arrivals, self._work)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RequestView):
+            return self._arrivals == other._arrivals and self._work == other._work
+        if isinstance(other, Sequence) and not isinstance(other, str):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+@dataclass(frozen=True)
+class WorkloadTrace:
+    """A trace as columns: request i arrives at ``arrivals[i]`` with
+    ``work[i]`` MI.  Arrivals are non-decreasing; ``duration`` is the span
+    the trace covers."""
+
+    arrivals: list[float]
+    work: list[float]
+    duration: float
+
+    def __post_init__(self) -> None:
+        if len(self.arrivals) != len(self.work):
+            raise ValueError(
+                f"{len(self.arrivals)} arrival times but {len(self.work)} work values"
+            )
+
+    def __len__(self) -> int:
+        return len(self.arrivals)
+
+    @cached_property
+    def requests(self) -> RequestView:
+        """The trace as a read-only sequence of ``Request`` items."""
+        return RequestView(self.arrivals, self.work)
+
+
+def first_out_of_order(arrivals: Sequence[float]) -> int | None:
+    """Index of the first arrival earlier than the one before it (or not
+    comparable with it), or None when the column is sorted.  The scan that
+    passes runs in C; only a failing one looks for the index."""
+    if all(map(le, arrivals, islice(arrivals, 1, None))):
+        return None
+    return next(i for i in range(1, len(arrivals)) if not arrivals[i - 1] <= arrivals[i])
 
 
 @dataclass(frozen=True)
@@ -151,8 +212,7 @@ def generate_trace(profile: RateProfile, duration: float, seed: int) -> Workload
     else:
         times = _poisson_arrivals(profile, duration, seed)
 
-    requests = [Request(id=i, arrival_time=t, work=profile.work_mi) for i, t in enumerate(times)]
-    return WorkloadTrace(requests=requests, duration=float(duration))
+    return WorkloadTrace(times, [profile.work_mi] * len(times), float(duration))
 
 
 def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float]:
@@ -189,50 +249,56 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
     """Parse a two-column trace: ``arrival_time_s work_mi`` per line.
 
     Lines starting with ``#`` and blank lines are skipped.  Out-of-order
-    lines are sorted.  Accepts a string, an open file, or any iterable of
-    lines; LF and CRLF both work.
+    lines are sorted by arrival time; lines with equal arrival times keep
+    their order in the file.  Accepts a string, an open file, or any
+    iterable of lines; LF and CRLF both work.
     """
     if isinstance(source, str):
         lines: Iterable[str] = source.splitlines()
     else:
         lines = source
 
-    requests: list[Request] = []
+    arrivals: list[float] = []
+    work: list[float] = []
+    add_arrival, add_work = arrivals.append, work.append
     inf = math.inf
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() drops the same whitespace strip() does, so a line is blank
+        # or a comment exactly when it has no fields or its first starts with #
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if len(fields) != 2:
             raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(fields)}")
         try:
             arrival = float(fields[0])
-            work = float(fields[1])
+            w = float(fields[1])
         except ValueError:
-            raise TraceParseError(f"line {lineno}: non-numeric field in {line!r}") from None
+            raise TraceParseError(f"line {lineno}: non-numeric field in {raw.strip()!r}") from None
         # NaN fails both range checks
         if not 0.0 <= arrival < inf:
             raise TraceValidationError(
                 f"line {lineno}: arrival time must be non-negative and finite, got {arrival}"
             )
-        if not 0.0 < work < inf:
+        if not 0.0 < w < inf:
             raise TraceValidationError(
-                f"line {lineno}: work must be positive and finite, got {work}"
+                f"line {lineno}: work must be positive and finite, got {w}"
             )
-        requests.append(Request(id=0, arrival_time=arrival, work=work))
+        add_arrival(arrival)
+        add_work(w)
 
-    requests.sort(key=lambda r: r.arrival_time)
-    for i, req in enumerate(requests):
-        req.id = i
-    duration = requests[-1].arrival_time if requests else 0.0
-    return WorkloadTrace(requests=requests, duration=duration)
+    if first_out_of_order(arrivals) is not None:
+        # a stable sort: equal arrivals keep file order
+        order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+        arrivals = [arrivals[i] for i in order]
+        work = [work[i] for i in order]
+    duration = arrivals[-1] if arrivals else 0.0
+    return WorkloadTrace(arrivals, work, duration)
 
 
 def serialize_trace(trace: WorkloadTrace) -> str:
     """Inverse of :func:`parse_trace`: one ``arrival work`` line per request."""
-    lines = [f"{req.arrival_time!r} {req.work!r}" for req in trace.requests]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join([f"{a!r} {w!r}\n" for a, w in zip(trace.arrivals, trace.work)])
 
 
 def load_profile(path: str) -> RateProfile:

@@ -10,7 +10,7 @@ import pytest
 
 from elastidebt.policies import ACTION_ORDER, Action
 from elastidebt.sim import Checkpoint, Cluster, ClusterObservation, SimConfig
-from elastidebt.workload import Request, WorkloadTrace
+from elastidebt.workload import WorkloadTrace
 
 
 def make_obs(
@@ -32,10 +32,12 @@ def make_obs(
 
 
 def make_trace(arrivals: list[tuple[float, float]], duration: float | None = None) -> WorkloadTrace:
-    reqs = [Request(id=i, arrival_time=t, work=w) for i, (t, w) in enumerate(sorted(arrivals))]
+    """A trace of ``(arrival, work)`` pairs, sorted."""
+    pairs = sorted(arrivals)
+    times = [t for t, _ in pairs]
     if duration is None:
-        duration = reqs[-1].arrival_time if reqs else 0.0
-    return WorkloadTrace(requests=reqs, duration=duration)
+        duration = times[-1] if times else 0.0
+    return WorkloadTrace(times, [w for _, w in pairs], duration)
 
 
 def dispatch_alone(work: float) -> tuple[float, float, bool]:
@@ -43,7 +45,7 @@ def dispatch_alone(work: float) -> tuple[float, float, bool]:
     on a lone idle default VM."""
     cluster = Cluster(SimConfig())
     vm_id = cluster.launch_vm(0.0, initial=True)
-    cluster.dispatch(Request(0, 0.0, work), 0.0)
+    cluster.dispatch(0.0, work)
     (job,) = cluster.active[vm_id].jobs
     return job
 
@@ -53,8 +55,8 @@ def recorded_jobs(cluster):
     log = []
     dispatch = cluster.dispatch
 
-    def recording(req, now):
-        vm_id = dispatch(req, now)
+    def recording(now, work):
+        vm_id = dispatch(now, work)
         log.append((vm_id, *cluster.active[vm_id].jobs[-1]))
         return vm_id
 

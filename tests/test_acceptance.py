@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import make_obs
+from conftest import make_obs, make_trace
 from elastidebt.economics import compute_utility, counterfactual_ideal
 from elastidebt.experiment import default_config, emit_csv, paired_experiment, run_experiment
 from elastidebt.policies import (
@@ -32,7 +32,6 @@ from elastidebt.sim import (
     VmInstance,
     billing_cycles_charged,
 )
-from elastidebt.workload import Request
 
 SEEDS = tuple(range(1, 11))
 
@@ -232,8 +231,7 @@ def build_checkpoint(cfg, vm_specs, arrivals, t0):
         vm = VmInstance(spec["id"], spec["ready"], spec["anchor"])
         cluster.active[spec["id"]] = vm
     cluster.next_vm_id = max(spec["id"] for spec in vm_specs) + 1
-    requests = [Request(i, at, work) for i, (at, work) in enumerate(arrivals)]
-    return Checkpoint(cfg, t0, cluster, requests, 0)
+    return Checkpoint(cfg, t0, cluster, make_trace(arrivals), 0)
 
 
 def test_criterion_7_counterfactual_matches_brute_force():

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import captured_checkpoints, direct_replays, dispatch_alone
+from conftest import captured_checkpoints, direct_replays, dispatch_alone, make_trace
 from elastidebt.economics import (
     compute_debt,
     compute_utility,
@@ -76,8 +76,9 @@ def idle_checkpoint(n_vms: int, at: float, cfg: SimConfig) -> Checkpoint:
     cluster = Cluster(cfg)
     for _ in range(n_vms):
         cluster.launch_vm(0.0, initial=True)
-    cluster.advance(at, [], 0)
-    return Checkpoint(cfg, at, cluster, [], 0)
+    empty = make_trace([])
+    cluster.advance(at, empty, 0)
+    return Checkpoint(cfg, at, cluster, empty, 0)
 
 
 def test_release_beats_maintain_by_one_cycle_cost_when_idle():

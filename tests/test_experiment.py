@@ -237,10 +237,10 @@ def test_paired_policies_share_the_workload(monkeypatch):
     assert da.totals.submitted == vo.totals.submitted
     assert da.totals.policy == "debt-aware"
     assert vo.totals.policy == "voting"
-    # one trace generation, one request list read by both runs
+    # one trace generation, one trace read by both runs
     assert len(generated) == 1
     assert da.result.requests is vo.result.requests
-    # the runs provision differently, and neither writes into the requests
+    # the runs provision differently, and neither writes into the trace
     assert [r.ready_vms for r in da.rows] != [r.ready_vms for r in vo.rows]
     assert da.result.requests == generate(*generated[0]).requests
 
@@ -354,6 +354,33 @@ def test_qtable_csv_round_trips_for_warm_start(tmp_path):
     emit_csv(report, str(tmp_path))
     table = load_qtable(str(tmp_path / "qtable.csv"))
     assert table.rows() == report.qtable_rows
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("lowish,low,maintain,0.1,1\n", "'lowish' is not a valid Level"),
+        ("low,HIGH,maintain,0.1,1\n", "'HIGH' is not a valid Level"),
+        ("low,low,scale-up,0.1,1\n", "'scale-up' is not a valid Action"),
+    ],
+)
+def test_load_qtable_rejects_unknown_names_with_line(tmp_path, bad_row, message):
+    path = tmp_path / "qtable.csv"
+    path.write_text("queued_level,billing_idle_level,action,q,visits\nlow,low,launch,-0.5,2\n" + bad_row)
+    with pytest.raises(ConfigError) as info:
+        load_qtable(str(path))
+    assert str(info.value) == f"{path}:3: bad qtable row: {message}"
+
+
+def test_load_qtable_rejects_repeated_state_action(tmp_path):
+    path = tmp_path / "qtable.csv"
+    path.write_text(
+        "queued_level,billing_idle_level,action,q,visits\n"
+        "low,low,launch,-0.5,2\nlow,high,launch,0.25,1\nlow,low,launch,0.75,3\n"
+    )
+    with pytest.raises(ConfigError) as info:
+        load_qtable(str(path))
+    assert str(info.value) == f"{path}:4: bad qtable row: (low, low) launch repeats line 2"
 
 
 # -- cli ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ fractional values land on the same boundaries.
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -34,6 +34,9 @@ PROPERTY_SETTINGS = settings(
     database=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
+# Whole runs over up to 60 arrivals take minutes to shrink, so a failing
+# run is reported as drawn.  Dropping the shrink phase changes no example.
+RUN_SETTINGS = settings(PROPERTY_SETTINGS, phases=[p for p in Phase if p is not Phase.shrink])
 
 
 def seconds(low, high):
@@ -74,8 +77,8 @@ def conserving(monkeypatch):
     """Assert request conservation whenever ``Cluster.advance`` returns."""
     advance = Cluster.advance
 
-    def checked(self, until, arrivals, idx):
-        idx = advance(self, until, arrivals, idx)
+    def checked(self, until, trace, idx):
+        idx = advance(self, until, trace, idx)
         assert self.submitted == self.successes + self.failures + self.outstanding_requests()
         return idx
 
@@ -133,11 +136,11 @@ def test_advancing_in_steps_changes_nothing(conserving, scenario, steps):
     checkpoint = build_checkpoint(cfg, vm_specs, arrivals, T0)
     end = T0 + window
     whole, stepped = fleet_cluster(cfg, checkpoint), fleet_cluster(cfg, checkpoint)
-    whole.advance(end, checkpoint.arrivals, 0)
+    whole.advance(end, checkpoint.trace, 0)
     idx = 0
     for until in sorted(T0 + s for s in steps if s < window):
-        idx = stepped.advance(until, checkpoint.arrivals, idx)
-    stepped.advance(end, checkpoint.arrivals, idx)
+        idx = stepped.advance(until, checkpoint.trace, idx)
+    stepped.advance(end, checkpoint.trace, idx)
 
     def outcome(cluster):
         vms = [(vm.id, list(vm.jobs)) for vm in cluster.all_vms()]
@@ -191,7 +194,7 @@ def runs(draw, policies=(DebtAwarePolicy, RandomPolicy), min_arrivals=0):
     return cfg, horizon, arrivals, policy(seed=seed)
 
 
-@settings(PROPERTY_SETTINGS, max_examples=200)
+@settings(RUN_SETTINGS, max_examples=200)
 @given(runs())
 def test_full_run_invariants(run):
     cfg, horizon, arrivals, policy = run
@@ -244,7 +247,7 @@ def test_full_run_invariants(run):
         assert per_action == direct_replays(checkpoints[rec.time], per_action, span)
 
 
-@PROPERTY_SETTINGS
+@RUN_SETTINGS
 # enough arrivals that VMs launched mid-run get work in their first window
 @given(runs(policies=(seeded_voting,), min_arrivals=40))
 def test_utilization_is_busy_overlap_with_window(run):

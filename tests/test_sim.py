@@ -14,7 +14,7 @@ from elastidebt.sim import (
     run_simulation,
     select_release_victim,
 )
-from elastidebt.workload import Request
+from elastidebt.workload import WorkloadTrace
 
 
 def make_vm(vm_id=0, ready=0.0, anchor=0.0):
@@ -36,7 +36,7 @@ def test_execution_time_is_work_over_capacity():
 
 def dispatch_all(cluster, now, *works):
     """Dispatch one request per work size at ``now``; returns the chosen VM ids."""
-    return [cluster.dispatch(Request(100 + i, now, work), now) for i, work in enumerate(works)]
+    return [cluster.dispatch(now, work) for work in works]
 
 
 def test_dispatch_prefers_fewest_outstanding():
@@ -47,7 +47,7 @@ def test_dispatch_prefers_fewest_outstanding():
     assert dispatch_all(cluster, 0.0, 100.0, 2.0, 2.0, 100.0) == [0, 1, 0, 1]
     # vm1's first request finishes at 0.2, so an arrival at 0.2 sees vm1
     # holding one request and vm0 two
-    assert cluster.dispatch(Request(0, 0.2, 2.0), 0.2) == 1
+    assert cluster.dispatch(0.2, 2.0) == 1
 
 
 def test_dispatch_tie_breaks_on_lowest_id():
@@ -57,7 +57,7 @@ def test_dispatch_tie_breaks_on_lowest_id():
     # equal loads at every step: the lower id wins each tie
     assert dispatch_all(cluster, 0.0, 2.0, 2.0, 2.0, 2.0) == [0, 1, 0, 1]
     assert [vm.outstanding() for vm in cluster.active.values()] == [2, 2]
-    assert cluster.dispatch(Request(0, 0.0, 2.0), 0.0) == 0
+    assert cluster.dispatch(0.0, 2.0) == 0
 
 
 def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
@@ -65,7 +65,7 @@ def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
     cluster.launch_vm(0.0, initial=True)
     cluster.launch_vm(0.0, initial=True)
     assert dispatch_all(cluster, 0.0, 2.0) == [0]
-    assert cluster.dispatch(Request(0, 0.0, 2.0), 0.0) == 1
+    assert cluster.dispatch(0.0, 2.0) == 1
 
 
 def test_active_stays_in_id_order_after_release_and_launch():
@@ -78,7 +78,7 @@ def test_active_stays_in_id_order_after_release_and_launch():
     assert list(cluster.active) == [0, 2, 3]
     # vm0 is busy; vm2 and vm3 tie at zero outstanding and the lower id wins
     assert dispatch_all(cluster, 10.0, 2.0) == [0]
-    assert cluster.dispatch(Request(0, 10.0, 2.0), 10.0) == 2
+    assert cluster.dispatch(10.0, 2.0) == 2
 
 
 def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
@@ -89,7 +89,7 @@ def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
     cluster.launch_vm(0.0, initial=True)
     pending = cluster.launch_vm(0.0)
     assert dispatch_all(cluster, 10.0, 2.0, 2.0) == [0, 1]
-    assert cluster.dispatch(Request(0, 10.0, 2.0), 10.0) == pending
+    assert cluster.dispatch(10.0, 2.0) == pending
     # it waits for the VM to be ready, so its response misses the SLA
     vm = cluster.active[pending]
     ((start, _, ok),) = vm.jobs
@@ -104,16 +104,16 @@ def test_replay_cluster_keeps_active_in_id_order(monkeypatch):
         cluster.launch_vm(0.0, initial=True)
     cluster.release_vm(1, 0.0)
     cluster.launch_vm(0.0)
-    cluster.advance(120.0, [], 0)
+    cluster.advance(120.0, make_trace([]), 0)
     seen = []
     original = Cluster.advance
 
-    def recording(self, until, arrivals, idx):
+    def recording(self, until, trace, idx):
         seen.append(list(self.active))
-        return original(self, until, arrivals, idx)
+        return original(self, until, trace, idx)
 
     monkeypatch.setattr(Cluster, "advance", recording)
-    checkpoint = Checkpoint(cfg, 120.0, cluster, [], 0)
+    checkpoint = Checkpoint(cfg, 120.0, cluster, make_trace([]), 0)
     checkpoint.replay(Action.MAINTAIN, 60.0)
     checkpoint.replay(Action.LAUNCH, 60.0)
     assert seen == [[0, 2, 3, 4], [0, 2, 3, 4, 5]]
@@ -125,7 +125,7 @@ def test_request_on_pending_vm_waits_for_ready():
     cfg = SimConfig(initial_vms=1)
     cluster = Cluster(cfg)
     vm_id = cluster.launch_vm(0.0)  # not initial: spins up until 105
-    arrivals = [Request(0, 10.0, 2.0)]
+    arrivals = make_trace([(10.0, 2.0)])
     cluster.advance(10.0, arrivals, 0)
     ((start, finish, _),) = cluster.active[vm_id].jobs
     assert start == 105.0
@@ -161,7 +161,7 @@ def test_billing_anchor_at_ready():
     vm = cluster.active[vm_id]
     assert vm.anchor == 105.0
     # first charged boundary sits one cycle past the anchor
-    cluster.advance(405.0, [], 0)
+    cluster.advance(405.0, make_trace([]), 0)
     assert cluster.counts(404.0).cycles == 0
     assert cluster.counts(405.0).cycles == 1
 
@@ -181,7 +181,7 @@ def test_released_vm_drains_queue_and_counts_responses():
     cfg = SimConfig(initial_vms=1)
     cluster = Cluster(cfg)
     vm_id = cluster.launch_vm(0.0, initial=True)
-    reqs = [Request(0, 0.0, 2.0), Request(1, 0.0, 2.0), Request(2, 0.0, 2.0)]
+    reqs = make_trace([(0.0, 2.0)] * 3)
     cluster.advance(0.0, reqs, 0)  # one executing, two queued
     assert cluster.active[vm_id].outstanding() == 3
     finishes = [finish for _, finish, _ in cluster.active[vm_id].jobs]
@@ -192,7 +192,7 @@ def test_released_vm_drains_queue_and_counts_responses():
     assert cluster.successes == 3
     assert cluster.retired[vm_id].is_idle()
     # released VM accepts no new work
-    late = [Request(3, 150.0, 2.0)]
+    late = make_trace([(150.0, 2.0)])
     cluster.advance(150.0, late, 0)
     assert [start for start, _, _ in cluster.active[other].jobs] == [150.0]
     cluster.advance(200.0, late, 1)
@@ -248,9 +248,9 @@ def observed_utilization(arrivals, window_end, cfg=None, launch_at=None):
     sim = Simulation(cfg or SimConfig(initial_vms=1))
     if launch_at is not None:
         sim.cluster.launch_vm(launch_at)
-    requests = make_trace(arrivals).requests
+    trace = make_trace(arrivals)
     marks = {vm.id: 0.0 for vm in sim.cluster.active.values()}
-    sim.cluster.advance(window_end, requests, 0)
+    sim.cluster.advance(window_end, trace, 0)
     return sim._observe(window_end, 0.0, marks).per_vm_utilization
 
 
@@ -313,7 +313,7 @@ def test_conservation_of_requests():
 
     trace = generate_trace(default_profile(), 900.0, seed=11)
     result = run_simulation(SimConfig(), trace, FixedPolicy(Action.MAINTAIN), 900.0)
-    assert result.submitted == len(trace.requests)
+    assert result.submitted == len(trace.arrivals)
     assert (
         result.totals.counts.successes + result.totals.counts.failures + result.in_flight_at_end
         == result.submitted
@@ -365,7 +365,7 @@ def test_release_victim_prefers_idle_nearest_boundary():
     cluster.active[b].anchor = 100.0  # at t=250, 150s to boundary
     assert select_release_victim(cluster, 250.0) == a
     # a busy VM is not an idle candidate
-    assert cluster.dispatch(Request(0, 250.0, 2.0), 250.0) == a
+    assert cluster.dispatch(250.0, 2.0) == a
     assert select_release_victim(cluster, 250.0) == b
 
 
@@ -386,9 +386,8 @@ def test_trace_beyond_horizon_rejected(maintain_policy):
 
 
 def test_unordered_trace_rejected(maintain_policy):
-    trace = make_trace([(10.0, 2.0), (20.0, 2.0)])
-    trace.requests.reverse()
-    with pytest.raises(ValueError, match="out of order"):
+    trace = WorkloadTrace([20.0, 10.0], [2.0, 2.0], 20.0)
+    with pytest.raises(ValueError, match="out of order at request 1"):
         run_simulation(SimConfig(), trace, maintain_policy, 60.0)
 
 

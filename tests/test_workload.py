@@ -3,13 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import FixedPolicy
+from elastidebt import workload
+from elastidebt.policies import DebtAwarePolicy
+from elastidebt.sim import SimConfig, run_simulation
 from elastidebt.workload import (
     ProfileError,
     RateProfile,
+    Request,
     Segment,
     TraceParseError,
     TraceValidationError,
+    WorkloadTrace,
     default_profile,
     generate_trace,
     load_profile,
@@ -123,6 +131,132 @@ def test_parse_sorts_out_of_order_lines():
     trace = parse_trace("3.0 1\n1.0 2\n2.0 3\n")
     assert [r.arrival_time for r in trace.requests] == [1.0, 2.0, 3.0]
     assert [r.id for r in trace.requests] == [0, 1, 2]
+    # work moves with its arrival
+    assert trace.arrivals == [1.0, 2.0, 3.0]
+    assert trace.work == [2.0, 3.0, 1.0]
+    assert trace.duration == 3.0
+
+
+def test_parse_keeps_file_order_of_equal_arrivals():
+    # in order: nothing moves
+    trace = parse_trace("1.0 5\n1.0 3\n1.0 4\n2.0 1\n")
+    assert trace.arrivals == [1.0, 1.0, 1.0, 2.0]
+    assert trace.work == [5.0, 3.0, 4.0, 1.0]
+    # out of order: the sort is stable, so ties keep their file order
+    trace = parse_trace("2.0 1\n1.0 5\n0.5 9\n1.0 3\n2.0 2\n1.0 4\n")
+    assert trace.arrivals == [0.5, 1.0, 1.0, 1.0, 2.0, 2.0]
+    assert trace.work == [9.0, 5.0, 3.0, 4.0, 1.0, 2.0]
+
+
+def test_parse_skips_comments_blanks_and_whitespace():
+    text = (
+        "# header line\r\n"
+        "\r\n"
+        "   \t \n"
+        "  0.5\t2  \r\n"
+        "\t# indented comment 1 2\n"
+        "#1.0 2\n"
+        "1.5    4\n"
+        "\n"
+    )
+    trace = parse_trace(text)
+    assert trace.arrivals == [0.5, 1.5]
+    assert trace.work == [2.0, 4.0]
+    # a file object yields lines with their endings
+    assert parse_trace(io.StringIO(text)) == trace
+    assert parse_trace(text.splitlines(keepends=True)) == trace
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ("1.0", TraceParseError, "expected 2 fields, got 1"),
+        ("1.0 2 3", TraceParseError, "expected 2 fields, got 3"),
+        ("1.0 two", TraceParseError, "non-numeric field in '1.0 two'"),
+        ("x 2", TraceParseError, "non-numeric field in 'x 2'"),
+        ("nan 2", TraceValidationError, "arrival time must be non-negative and finite, got nan"),
+        ("inf 2", TraceValidationError, "arrival time must be non-negative and finite, got inf"),
+        ("-0.5 2", TraceValidationError, "arrival time must be non-negative and finite, got -0.5"),
+        ("1.0 nan", TraceValidationError, "work must be positive and finite, got nan"),
+        ("1.0 inf", TraceValidationError, "work must be positive and finite, got inf"),
+        ("1.0 0", TraceValidationError, "work must be positive and finite, got 0.0"),
+        ("1.0 -2", TraceValidationError, "work must be positive and finite, got -2.0"),
+    ],
+)
+def test_parse_errors_keep_their_line_number(bad, error, message):
+    # comments and blank lines count towards the line number
+    text = f"# trace\r\n0.5 2\r\n\r\n  {bad}  \r\n3.0 2\r\n"
+    with pytest.raises(error) as info:
+        parse_trace(text)
+    assert str(info.value) == f"line 4: {message}"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(0.0, 1e9, allow_nan=False, allow_infinity=False),
+            st.floats(0.0, 1e9, exclude_min=True, allow_nan=False, allow_infinity=False),
+        ),
+        max_size=50,
+    )
+)
+def test_serialize_parse_round_trips_random_columns(pairs):
+    pairs.sort(key=lambda p: p[0])  # stable: equal arrivals keep their work order
+    arrivals = [a for a, _ in pairs]
+    trace = WorkloadTrace(arrivals, [w for _, w in pairs], arrivals[-1] if pairs else 0.0)
+    back = parse_trace(serialize_trace(trace))
+    assert back == trace
+
+
+def test_requests_view_builds_items_from_the_columns():
+    trace = WorkloadTrace([0.5, 1.0, 1.0], [2.0, 3.0, 4.0], 10.0)
+    view = trace.requests
+    assert len(view) == len(trace) == 3
+    assert view[0] == Request(0, 0.5, 2.0)
+    assert view[-1] == Request(2, 1.0, 4.0)
+    assert view[1:] == [Request(1, 1.0, 3.0), Request(2, 1.0, 4.0)]
+    assert list(view) == [Request(0, 0.5, 2.0), Request(1, 1.0, 3.0), Request(2, 1.0, 4.0)]
+    with pytest.raises(IndexError):
+        view[3]
+    with pytest.raises(IndexError):
+        view[-4]
+    # one view per trace, and it cannot change the trace
+    assert trace.requests is view
+    assert not hasattr(view, "append") and not hasattr(view, "reverse")
+    view[0].work = 99.0
+    assert trace.work == [2.0, 3.0, 4.0]
+    assert view == WorkloadTrace([0.5, 1.0, 1.0], [2.0, 3.0, 4.0], 1.0).requests
+    assert view != WorkloadTrace([0.5, 1.0, 1.0], [2.0, 3.0, 5.0], 10.0).requests
+
+
+def test_trace_columns_must_match_in_length():
+    with pytest.raises(ValueError, match="2 arrival times but 1 work values"):
+        WorkloadTrace([0.0, 1.0], [2.0], 1.0)
+
+
+def test_generated_trace_is_columns_of_the_profile_work():
+    prof = default_profile()
+    trace = generate_trace(prof, 300.0, seed=9)
+    assert len(trace.work) == len(trace.arrivals) == len(trace)
+    assert set(trace.work) == {prof.work_mi}
+    assert all(type(t) is float for t in trace.arrivals)
+
+
+def test_no_request_objects_in_generation_parsing_or_simulation(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("a Request was built")
+
+    monkeypatch.setattr(workload, "Request", forbidden)
+    trace = generate_trace(default_profile(), 900.0, seed=4)
+    back = parse_trace(serialize_trace(trace))
+    assert (back.arrivals, back.work) == (trace.arrivals, trace.work)
+    cfg = SimConfig(decision_interval=60.0, cool_down=60.0)
+    for policy in (DebtAwarePolicy(seed=1), FixedPolicy()):
+        result = run_simulation(cfg, trace, policy, 900.0)
+        assert result.records and len(result.requests) == len(trace)
+    with pytest.raises(AssertionError, match="a Request was built"):
+        trace.requests[0]
 
 
 def test_parse_accepts_crlf_and_comments():
