@@ -31,6 +31,7 @@ from .workload import (
     generate_trace,
     load_profile,
     parse_trace,
+    read_key_values,
 )
 
 
@@ -77,49 +78,23 @@ def load_config(path: str) -> ExperimentConfig:
     Workload paths inside the file are resolved relative to the file's
     directory.
     """
-    pairs: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                pairs[key.strip()] = value.strip()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-
     base = os.path.dirname(os.path.abspath(path))
     cfg = ExperimentConfig()
     # every parameter field is a key, parsed as the type of its default
-    sections = {f.name: sec for sec in (cfg.sim, cfg.learning, cfg.voting) for f in fields(sec)}
-    try:
-        for key, value in pairs.items():
-            if key in sections:
-                section = sections[key]
-                setattr(section, key, type(getattr(section, key))(value))
-            elif key == "policy":
-                cfg.policy = value
-            elif key == "seed":
-                cfg.seed = int(value)
-            elif key == "horizon":
-                cfg.horizon = float(value)
-            elif key == "profile":
-                cfg.profile = load_profile(os.path.join(base, value))
-            elif key == "trace":
-                cfg.trace_path = os.path.join(base, value)
-            elif key == "output_dir":
-                cfg.output_dir = os.path.join(base, value)
-            elif key == "qtable_in":
-                cfg.qtable_in = os.path.join(base, value)
-            else:
-                raise ConfigError(f"{path}: unknown key {key!r}")
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: bad value: {exc}") from exc
+    owners = {f.name: sec for sec in (cfg.sim, cfg.learning, cfg.voting) for f in fields(sec)}
+    owners.update(policy=cfg, seed=cfg, horizon=cfg)
+    paths = {"trace": "trace_path", "output_dir": "output_dir", "qtable_in": "qtable_in"}
+
+    def assign(key: str, value: str) -> None:
+        if key in paths:
+            setattr(cfg, paths[key], os.path.join(base, value))
+        elif key == "profile":
+            cfg.profile = load_profile(os.path.join(base, value))
+        else:
+            owner = owners[key]
+            setattr(owner, key, type(getattr(owner, key))(value))
+
+    read_key_values(path, "config", ConfigError, assign)
     return cfg
 
 

@@ -8,16 +8,15 @@ parsed from a two-column text file.
 
 from __future__ import annotations
 
+import io
 import math
 import random
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from operator import le
-from typing import IO, Iterable, Iterator, Union
-
-import numpy as np
+from typing import IO, Callable, Iterable, Iterator, Union
 
 DEFAULT_WORK_MI = 2.0
 
@@ -217,17 +216,32 @@ def generate_trace(profile: RateProfile, duration: float, seed: int) -> Workload
 
 def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float]:
     n_points = int(math.ceil(duration / _GRID_DT)) + 1
-    grid = np.linspace(0.0, duration, n_points)
-    rates = np.array([profile.rate_at(float(t)) for t in grid])
+    last = n_points - 1
+    step = duration / last
+    grid = [i * step for i in range(last)]
+    grid.append(float(duration))
+    rates = [profile.rate_at(t) for t in grid]
     # trapezoidal cumulative intensity; exact for piecewise-constant rates
-    cum = np.concatenate(([0.0], np.cumsum((rates[1:] + rates[:-1]) * 0.5 * np.diff(grid))))
-    total = cum[-1]
-    n = int(math.floor(total + 1e-9))
-    if n == 0:
-        return []
-    targets = np.arange(1, n + 1, dtype=float)
-    times = np.interp(targets, cum, grid)
-    return [float(t) for t in times if t <= duration]
+    areas = (
+        (r1 + r0) * 0.5 * (t1 - t0) for r0, r1, t0, t1 in zip(rates, rates[1:], grid, grid[1:])
+    )
+    cum = list(accumulate(areas, initial=0.0))
+    # arrival k is where cum crosses k, interpolated between the last grid
+    # point j with cum[j] <= k and the next (an exact hit gives grid[j]); a
+    # flat (zero-rate) span resolves to its last point.  The targets ascend,
+    # so one forward walk finds every j.
+    times: list[float] = []
+    j = 0
+    for k in map(float, range(1, int(math.floor(cum[-1] + 1e-9)) + 1)):
+        while j < last and cum[j + 1] <= k:
+            j += 1
+        if j == last:
+            t = grid[j]
+        else:
+            t = (grid[j + 1] - grid[j]) / (cum[j + 1] - cum[j]) * (k - cum[j]) + grid[j]
+        if t <= duration:
+            times.append(t)
+    return times
 
 
 def _poisson_arrivals(profile: RateProfile, duration: float, seed: int) -> list[float]:
@@ -251,12 +265,10 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
     Lines starting with ``#`` and blank lines are skipped.  Out-of-order
     lines are sorted by arrival time; lines with equal arrival times keep
     their order in the file.  Accepts a string, an open file, or any
-    iterable of lines; LF and CRLF both work.
+    iterable of lines.  A string is split into lines as a file opened in
+    text mode is, at LF, CRLF or CR only.
     """
-    if isinstance(source, str):
-        lines: Iterable[str] = source.splitlines()
-    else:
-        lines = source
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
 
     arrivals: list[float] = []
     work: list[float] = []
@@ -301,6 +313,44 @@ def serialize_trace(trace: WorkloadTrace) -> str:
     return "".join([f"{a!r} {w!r}\n" for a, w in zip(trace.arrivals, trace.work)])
 
 
+def read_key_values(
+    path: str, what: str, error: type[ValueError], assign: Callable[[str, str], None]
+) -> None:
+    """Read a flat ``key = value`` file, passing each entry to ``assign(key,
+    value)`` in file order.  Blank lines and ``#`` comments are skipped.
+
+    A line without ``=``, a repeated key, a key ``assign`` does not know (it
+    raises ``KeyError``) and a value it rejects (``ValueError``) raise
+    ``error`` with the file and line; so does a file that cannot be read.
+    """
+    seen: dict[str, int] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                where = f"{path}:{lineno}"
+                key, eq, value = line.partition("=")
+                key = key.strip()
+                if not eq:
+                    raise error(f"{where}: expected 'key = value'")
+                if key in seen:
+                    raise error(f"{where}: {key!r} repeats line {seen[key]}")
+                seen[key] = lineno
+                try:
+                    assign(key, value.strip())
+                except KeyError:
+                    raise error(f"{where}: unknown key {key!r}") from None
+                except ValueError as exc:
+                    raise error(f"{where}: bad value for {key!r}: {exc}") from exc
+    except OSError as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+
+
+_SEGMENT_KEYS = ("start", "end", "base_rate", "amplitude", "period")
+
+
 def load_profile(path: str) -> RateProfile:
     """Read a rate profile from a flat key-value file.
 
@@ -308,47 +358,30 @@ def load_profile(path: str) -> RateProfile:
     ``segment.<n>.start|end|base_rate|amplitude|period``.  Segments are
     ordered by their index.
     """
-    pairs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ProfileError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
-
-    mode = pairs.pop("arrival_mode", "poisson")
-    work_mi = float(pairs.pop("work_mi", DEFAULT_WORK_MI))
-
+    settings: dict = {}
     seg_fields: dict[int, dict[str, float]] = {}
-    for key, value in pairs.items():
-        parts = key.split(".")
-        if len(parts) != 3 or parts[0] != "segment":
-            raise ProfileError(f"{path}: unknown key {key!r}")
-        try:
-            idx = int(parts[1])
-            seg_fields.setdefault(idx, {})[parts[2]] = float(value)
-        except ValueError:
-            raise ProfileError(f"{path}: bad value for {key!r}") from None
+
+    def assign(key: str, value: str) -> None:
+        if key == "arrival_mode":
+            settings[key] = value
+        elif key == "work_mi":
+            settings[key] = float(value)
+        else:
+            parts = key.split(".")
+            if len(parts) != 3 or parts[0] != "segment" or parts[2] not in _SEGMENT_KEYS:
+                raise KeyError(key)
+            seg_fields.setdefault(int(parts[1]), {})[parts[2]] = float(value)
+
+    read_key_values(path, "profile", ProfileError, assign)
 
     segments = []
     for idx in sorted(seg_fields):
         f = seg_fields[idx]
-        try:
-            segments.append(
-                Segment(
-                    start=f["start"],
-                    end=f["end"],
-                    base_rate=f["base_rate"],
-                    amplitude=f.get("amplitude", 0.0),
-                    period=f.get("period", 3600.0),
-                )
-            )
-        except KeyError as exc:
-            raise ProfileError(f"{path}: segment {idx} missing {exc}") from None
+        for name in ("start", "end", "base_rate"):
+            if name not in f:
+                raise ProfileError(f"{path}: segment {idx} missing {name!r}")
+        segments.append(Segment(**f))
 
-    profile = RateProfile(segments=segments, arrival_mode=mode, work_mi=work_mi)
+    profile = RateProfile(segments=segments, **settings)
     profile.validate()
     return profile

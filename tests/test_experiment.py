@@ -169,6 +169,45 @@ def test_config_file_errors(tmp_path):
         load_config(str(tmp_path / "missing.cfg"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("seed = 1\nseed = 2\n", ":2: 'seed' repeats line 1"),
+        ("spin_up = 10\n\n# later\nspin_up = 20\n", ":4: 'spin_up' repeats line 1"),
+        ("seed = 1\nhorizon = soon\n", ":2: bad value for 'horizon'"),
+        ("seed = 1\nknob = 3\n", ":2: unknown key 'knob'"),
+    ],
+)
+def test_config_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value).startswith(f"{path}{message}")
+
+
+def test_config_reports_a_bad_profile_with_both_files(tmp_path):
+    (tmp_path / "p.cfg").write_text("segment.0.start = 0\nwork_mi = abc\n")
+    path = tmp_path / "bad.cfg"
+    path.write_text("profile = p.cfg\n")
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value).startswith(
+        f"{path}:1: bad value for 'profile': {tmp_path / 'p.cfg'}:2: bad value for 'work_mi'"
+    )
+
+
+def test_cli_gen_trace_names_the_bad_profile_line(tmp_path, capsys):
+    profile = tmp_path / "profile.cfg"
+    profile.write_text("arrival_mode = deterministic\nwork_mi = abc\n")
+    rc = cli_main(["gen-trace", "--profile", str(profile), "--out", str(tmp_path / "t.txt")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: {profile}:2: bad value for 'work_mi': could not convert string to float: 'abc'\n"
+    )
+    assert not (tmp_path / "t.txt").exists()
+
+
 def test_invalid_parameters_fail_before_any_simulation():
     cfg = default_config()
     cfg.sim.spin_up = -1.0

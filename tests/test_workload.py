@@ -1,5 +1,9 @@
 import io
 import math
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -7,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FixedPolicy
+import elastidebt
 from elastidebt import workload
 from elastidebt.policies import DebtAwarePolicy
 from elastidebt.sim import SimConfig, run_simulation
 from elastidebt.workload import (
+    DEFAULT_WORK_MI,
     ProfileError,
     RateProfile,
     Request,
@@ -74,6 +80,136 @@ def test_deterministic_count_tracks_rate_integral():
     rates = np.array([prof.rate_at(float(t)) for t in grid])
     integral = float(np.trapezoid(rates, grid))
     assert abs(len(trace.requests) - math.floor(integral)) <= 2  # +-1 per segment
+
+
+def reference_deterministic_arrivals(profile, duration):
+    """The numpy formulation of deterministic arrivals: a linspace grid,
+    the trapezoidal cumulative intensity and np.interp at 1..n."""
+    n_points = int(math.ceil(duration / workload._GRID_DT)) + 1
+    grid = np.linspace(0.0, duration, n_points)
+    rates = np.array([profile.rate_at(float(t)) for t in grid])
+    cum = np.concatenate(([0.0], np.cumsum((rates[1:] + rates[:-1]) * 0.5 * np.diff(grid))))
+    n = int(math.floor(cum[-1] + 1e-9))
+    if n == 0:
+        return []
+    times = np.interp(np.arange(1, n + 1, dtype=float), cum, grid)
+    return [float(t) for t in times if t <= duration]
+
+
+# Grid steps of 3/64 s are exact: a duration of m * 3/64 with m < 16 gets
+# m grid intervals.  With rates that are multiples of 1/2 every area is a
+# dyadic fraction, so the cumulative intensity can land exactly on an
+# integer at a grid point.
+EXACT_STEP = 3 / 64
+
+
+@st.composite
+def deterministic_cases(draw):
+    rate = st.one_of(
+        st.just(0.0),
+        st.sampled_from([0.5, 2.0, 20.0, 64.0, 128.0]),
+        st.floats(0.0, 50.0),
+    )
+    length = st.one_of(
+        st.floats(0.01, 60.0),
+        st.integers(1, 60).map(float),
+        st.integers(1, 8).map(lambda m: m * EXACT_STEP),
+    )
+    segments, t = [], 0.0
+    for _ in range(draw(st.integers(1, 4))):
+        end = t + draw(length)
+        amplitude = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
+        segments.append(Segment(t, end, draw(rate), amplitude, draw(st.floats(0.5, 200.0))))
+        t = end
+    duration = draw(
+        st.one_of(
+            st.just(t),  # the whole profile
+            st.floats(0.01, t),  # shorter than the profile
+            st.floats(t, 2.0 * t),  # past its end, where the rate is 0
+            st.integers(1, 15).map(lambda m: m * EXACT_STEP),  # an exact grid
+        )
+    )
+    return RateProfile(segments, arrival_mode="deterministic"), duration
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(deterministic_cases())
+def test_deterministic_arrivals_match_numpy_reference(case):
+    profile, duration = case
+    assert workload._deterministic_arrivals(profile, duration) == (
+        reference_deterministic_arrivals(profile, duration)
+    )
+
+
+def test_deterministic_exact_crossings_resolve_like_numpy():
+    # rate 128 for 4 grid steps, 0 for 2, then 128 again: cumulative
+    # intensity 0, 6, 12, 18, 21, 21, 24, 30, 36.  Arrival 21 falls on the
+    # flat span and takes its last point; 6, 12, ... are exact grid hits.
+    profile = RateProfile(
+        [
+            Segment(0.0, 4 * EXACT_STEP, 128.0),
+            Segment(4 * EXACT_STEP, 6 * EXACT_STEP, 0.0),
+            Segment(6 * EXACT_STEP, 8 * EXACT_STEP, 128.0),
+        ],
+        arrival_mode="deterministic",
+    )
+    times = workload._deterministic_arrivals(profile, 8 * EXACT_STEP)
+    assert times == reference_deterministic_arrivals(profile, 8 * EXACT_STEP)
+    assert len(times) == 36
+    assert times[20] == 5 * EXACT_STEP
+    assert [times[k - 1] for k in (6, 12, 18, 24, 30, 36)] == [
+        i * EXACT_STEP for i in (1, 2, 3, 6, 7, 8)
+    ]
+
+
+def test_deterministic_default_profile_matches_numpy_reference():
+    profile = default_profile()
+    profile.arrival_mode = "deterministic"
+    times = generate_trace(profile, 21600.0, seed=0).arrivals
+    assert len(times) == 489599
+    assert times == reference_deterministic_arrivals(profile, 21600.0)
+
+
+def run_python(code, tmp_path):
+    src = os.path.dirname(os.path.dirname(elastidebt.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+
+
+def test_import_leaves_numpy_unloaded(tmp_path):
+    proc = run_python(
+        "import sys, elastidebt, elastidebt.cli\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_gen_trace_runs_with_numpy_blocked(tmp_path):
+    profile = tmp_path / "det.cfg"
+    profile.write_text(
+        "arrival_mode = deterministic\n"
+        "segment.0.start = 0\nsegment.0.end = 300\nsegment.0.base_rate = 20\n"
+        "segment.0.amplitude = 12\nsegment.0.period = 200\n"
+        "segment.1.start = 300\nsegment.1.end = 400\nsegment.1.base_rate = 0\n"
+        "segment.2.start = 400\nsegment.2.end = 900\nsegment.2.base_rate = 7.5\n"
+    )
+    proc = run_python(
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "from elastidebt.cli import main\n"
+        "sys.exit(main(['gen-trace', '--profile', 'det.cfg', '--duration', '850.5',"
+        " '--out', 'trace.txt']))",
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    arrivals = reference_deterministic_arrivals(load_profile(str(profile)), 850.5)
+    expected = serialize_trace(WorkloadTrace(arrivals, [DEFAULT_WORK_MI] * len(arrivals), 850.5))
+    header = "# generated from det.cfg seed=0 duration=850.5\n"
+    assert (tmp_path / "trace.txt").read_text() == header + expected
 
 
 def test_generate_rejects_bad_inputs():
@@ -265,6 +401,32 @@ def test_parse_accepts_crlf_and_comments():
     assert trace.requests[1].work == 4.0
 
 
+@pytest.mark.parametrize(
+    "sep", ["\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+def test_parse_splits_a_string_as_a_file(sep, tmp_path):
+    # str.splitlines() also breaks at form feeds, \x85, \u2028 and more; a
+    # file opened in text mode breaks only at LF, CRLF and CR
+    text = f"# trace\n1 2{sep}3 4\n5 6\n"
+    path = tmp_path / "trace.txt"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+
+    def outcome(source):
+        try:
+            return parse_trace(source)
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+
+    with open(path, encoding="utf-8") as fh:
+        from_file = outcome(fh)
+    assert outcome(text) == from_file
+    if sep in ("\r", "\r\n"):
+        assert from_file.arrivals == [1.0, 3.0, 5.0]
+    else:
+        assert from_file == "TraceParseError: line 2: expected 2 fields, got 4"
+
+
 def test_parse_accepts_file_objects():
     trace = parse_trace(io.StringIO("0.25 1\n"))
     assert len(trace.requests) == 1
@@ -291,6 +453,33 @@ def test_load_profile_errors(tmp_path):
     bad.write_text("what even\n")
     with pytest.raises(ProfileError):
         load_profile(str(bad))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("work_mi = 2\n# again\nwork_mi = 3\n", ":3: 'work_mi' repeats line 1"),
+        (
+            "segment.0.start = 0\nsegment.0.end = 9\nsegment.0.start = 1\n",
+            ":3: 'segment.0.start' repeats line 1",
+        ),
+        ("work_mi = abc\n", ":1: bad value for 'work_mi': could not convert string to float"),
+        ("segment.0.start = 0\nsegment.0.amplitud = 3\n", ":2: unknown key 'segment.0.amplitud'"),
+        ("segment.x.start = 0\n", ":1: bad value for 'segment.x.start'"),
+    ],
+)
+def test_load_profile_names_file_and_line(tmp_path, text, message):
+    path = tmp_path / "p.cfg"
+    path.write_text(text)
+    with pytest.raises(ProfileError) as info:
+        load_profile(str(path))
+    assert str(info.value).startswith(f"{path}{message}")
+
+
+def test_load_profile_wraps_unreadable_file(tmp_path):
+    path = tmp_path / "missing.cfg"
+    with pytest.raises(ProfileError, match=re.escape(f"cannot read profile {path}: ")):
+        load_profile(str(path))
 
 
 def test_profile_validation():
