@@ -78,10 +78,14 @@ class LearningParams:
             raise ValueError("epsilon must be in [0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must be in [0, 1]")
-        if self.alpha_min > self.alpha_initial:
-            raise ValueError("alpha_min must not exceed alpha_initial")
+        # every rate of the schedule then lies in (0, 1], as q_update requires
+        if not 0.0 < self.alpha_min <= self.alpha_initial <= 1.0:
+            raise ValueError("need 0 < alpha_min <= alpha_initial <= 1")
         if self.alpha_decay not in ("linear", "multiplicative"):
             raise ValueError(f"unknown alpha_decay {self.alpha_decay!r}")
+        step_max = 1.0 if self.alpha_decay == "multiplicative" else math.inf
+        if not 0.0 <= self.alpha_decay_step <= step_max:
+            raise ValueError(f"a {self.alpha_decay} alpha_decay_step must be in [0, {step_max}]")
 
 
 @dataclass

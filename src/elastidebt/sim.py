@@ -498,6 +498,13 @@ class Simulation:
         horizon: float,
         record_debt: bool = True,
     ) -> SimulationResult:
+        """Run ``policy`` over ``trace`` up to ``horizon``.
+
+        Each decision point past the cool-down, and the horizon, closes the
+        window opened by the pending adaptation: it is measured, the
+        adaptation is settled and, where a checkpoint was taken (debts are
+        recorded and a decision follows), the policy is rewarded its debt.
+        """
         if self._ran:
             raise RuntimeError("a Simulation instance runs once; build a fresh one")
         self._ran = True
@@ -517,15 +524,17 @@ class Simulation:
         idx = 0
         win_start = 0.0
         snap, marks = self._open_window(win_start)
-        last_adaptation = -_INF
         pending: _Pending | None = None
-        # a learning policy values its adaptations proactively
-        proactive = getattr(policy, "learns", False)
+        # a learning policy values a fixed window past each adaptation
+        # (proactive); otherwise the window is the span up to the next one
+        learns = getattr(policy, "learns", False)
+        self._window = cfg.decision_interval + cfg.billing_cycle if learns else None
 
         for t in _decision_ticks(cfg.decision_interval, horizon):
             final = t == horizon
             idx = cluster.advance(t, trace, idx)
-            if not final and t - last_adaptation < cfg.cool_down - _EPS:
+            # the cool-down runs from the pending adaptation
+            if not final and pending is not None and t - win_start < cfg.cool_down - _EPS:
                 continue
             # close the window [win_start, t]; the horizon closes the bill
             counts = cluster.counts(t, close=final) - snap
@@ -533,21 +542,17 @@ class Simulation:
             breakdown = counts.utility(cfg)
             cumulative += breakdown.utility
             # the cluster before this decision point's action, which the
-            # pending adaptation's valuation forks as well
-            checkpoint = None
-            if record_debt and not final:
-                checkpoint = Checkpoint(cfg, t, cluster, trace, idx)
+            # pending adaptation's valuation forks as well; the horizon
+            # takes no action
+            checkpoint = None if final or not record_debt else Checkpoint(cfg, t, cluster, trace, idx)
 
             record = None
             if pending is not None:
                 # no replay closes the bill, so the final window's measured
                 # utility is not comparable
-                measured = None if final else breakdown
-                record = self._settle(
-                    pending, t - pending.time, proactive, record_debt, measured, checkpoint
-                )
+                record = self._settle(pending, t, None if final else breakdown, checkpoint)
                 records.append(record)
-                if record_debt and not final:
+                if checkpoint is not None:
                     policy.observe_reward(record.debt, obs)
             windows.append(
                 self._window_metrics(win_start, t, breakdown, obs, pending, record)
@@ -561,17 +566,15 @@ class Simulation:
                 raise TypeError(f"policy returned {action!r}, not an Action")
             if action not in candidates:
                 raise ValueError(f"policy chose {action} outside its candidate set")
-            live_before = len(cluster.active)
-            cluster.apply(action, t)
             pending = _Pending(
                 time=t,
                 state=discretize_state(obs),
                 action=action,
                 candidates=candidates,
                 checkpoint=checkpoint,
-                live_vms_before=live_before,
+                live_vms_before=len(cluster.active),
             )
-            last_adaptation = t
+            cluster.apply(action, t)
             win_start = t
             snap, marks = self._open_window(t)
 
@@ -608,45 +611,37 @@ class Simulation:
     def _settle(
         self,
         pending: _Pending,
-        elapsed: float,
-        proactive: bool,
-        record_debt: bool,
+        now: float,
         measured: UtilityBreakdown | None,
         checkpoint: Checkpoint | None,
     ) -> AdaptationRecord:
-        """Value the pending adaptation.
+        """Value the pending adaptation when its window closes at ``now``.
 
         ``measured`` is the primary run's window since the adaptation, when
         that is comparable, and ``checkpoint`` the cluster where it closed.
+        An adaptation taken without a checkpoint records no debt.  The taken
+        action is valued from ``measured`` when the valuation window ends at
+        ``now``, joined with a MAINTAIN fork of ``checkpoint`` when it runs
+        past, and replayed with the other candidates when it ends before.
         """
-        if not record_debt:
-            return AdaptationRecord(
-                time=pending.time,
-                state=pending.state,
-                action_taken=pending.action,
-                u_actual=0.0,
-                u_ideal=0.0,
-                debt=0.0,
+        u_actual = u_ideal = 0.0
+        per_action: dict[Action, float] = {}
+        if pending.checkpoint is not None:
+            elapsed = now - pending.time
+            # the window ``run`` fixed, or else the span since the adaptation
+            window = self._window or elapsed
+            known = None
+            if measured is not None and window >= elapsed:
+                counts = measured.counts
+                if window > elapsed:
+                    # the primary run held the taken action up to the next
+                    # checkpoint; MAINTAIN from there runs the rest of its window
+                    counts += checkpoint.replay(Action.MAINTAIN, window, start=pending.time).counts
+                known = {pending.action: counts.utility(self.config).utility}
+            u_ideal, per_action = economics.counterfactual_ideal(
+                pending.checkpoint, pending.candidates, window, known
             )
-        cfg = self.config
-        known = None
-        if proactive:
-            window = cfg.decision_interval + cfg.billing_cycle
-            if measured is not None and pending.time + window > checkpoint.time:
-                # the primary run held the taken action up to the next
-                # checkpoint; MAINTAIN from there runs the rest of its window
-                rest = checkpoint.replay(Action.MAINTAIN, window, start=pending.time)
-                joined = measured.counts + rest.counts
-                known = {pending.action: joined.utility(cfg).utility}
-        else:
-            window = elapsed
-            if measured is not None:
-                # the primary run just ran the taken action over this window
-                known = {pending.action: measured.utility}
-        u_ideal, per_action = economics.counterfactual_ideal(
-            pending.checkpoint, pending.candidates, window, known
-        )
-        u_actual = per_action[pending.action]
+            u_actual = per_action[pending.action]
         return AdaptationRecord(
             time=pending.time,
             state=pending.state,
@@ -667,14 +662,12 @@ class Simulation:
         record: AdaptationRecord | None,
     ) -> WindowMetrics:
         ideal = len(self.cluster.active)
-        if record is not None and pending is not None and record.per_action_utilities:
-            best = max(record.per_action_utilities.values())
-            if record.per_action_utilities[record.action_taken] >= best:
-                ideal_action = record.action_taken
-            else:
-                ideal_action = next(
-                    a for a in ACTION_ORDER if record.per_action_utilities.get(a) == best
-                )
+        if record is not None and record.per_action_utilities:
+            # the taken action when its debt is zero, else the first best one
+            per_action = record.per_action_utilities
+            ideal_action = next(
+                a for a in (record.action_taken, *ACTION_ORDER) if per_action.get(a) == record.u_ideal
+            )
             delta = {Action.LAUNCH: 1, Action.RELEASE: -1, Action.MAINTAIN: 0}[ideal_action]
             ideal = max(1, pending.live_vms_before + delta)
         return WindowMetrics(

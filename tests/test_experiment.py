@@ -469,6 +469,40 @@ def test_cli_rejects_non_finite_parameter(tmp_path, capsys):
     assert "decision_interval must be finite" in capsys.readouterr().err
 
 
+# each schedule would hand q_update a rate outside (0, 1] partway through a run
+BAD_LEARNING_RATES = [
+    ({"alpha_initial": 2.0}, "need 0 < alpha_min <= alpha_initial <= 1"),
+    ({"alpha_initial": 0.0, "alpha_min": 0.0}, "need 0 < alpha_min <= alpha_initial <= 1"),
+    ({"alpha_min": 0.0}, "need 0 < alpha_min <= alpha_initial <= 1"),
+    ({"alpha_decay_step": -0.1}, "linear alpha_decay_step must be in [0, inf]"),
+    (
+        {"alpha_decay": "multiplicative", "alpha_decay_step": 1.5},
+        "multiplicative alpha_decay_step must be in [0, 1.0]",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "overrides,message",
+    BAD_LEARNING_RATES,
+    ids=["initial-above-one", "initial-zero", "min-zero", "linear-step-negative", "factor-above-one"],
+)
+def test_learning_rates_outside_the_unit_interval_rejected(tmp_path, capsys, overrides, message):
+    cfg = default_config()
+    for name, value in overrides.items():
+        setattr(cfg.learning, name, value)
+    with pytest.raises(ValueError) as info:
+        cfg.validate()
+    assert message in str(info.value)
+    extra = "".join(f"{name} = {value}\n" for name, value in overrides.items())
+    path = write_cli_config(tmp_path, extra=extra)
+    out_dir = tmp_path / "never"
+    rc = cli_main(["run", "--config", str(path), "--out", str(out_dir), "--policy", "debt-aware"])
+    assert rc == 1
+    assert not out_dir.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_cli_rejects_bad_trace_path(tmp_path, capsys):
     cfg = write_cli_config(tmp_path)
     rc = cli_main([

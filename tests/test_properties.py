@@ -22,7 +22,14 @@ from conftest import (
     recorded_jobs,
 )
 from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingParams, VotingPolicy
-from elastidebt.sim import Cluster, SimConfig, Simulation
+from elastidebt.sim import (
+    Checkpoint,
+    Cluster,
+    SimConfig,
+    Simulation,
+    VmInstance,
+    billing_cycles_charged,
+)
 from test_acceptance import build_checkpoint, oracle_utility
 
 T0 = 600.0
@@ -159,6 +166,13 @@ class RandomPolicy(FixedPolicy):
         return self.rng.choice(ACTION_ORDER)
 
 
+class ChurnPolicy(RandomPolicy):
+    """Seeded launches and releases, releasing twice as often."""
+
+    def decide(self, obs):
+        return self.rng.choice([Action.LAUNCH, Action.RELEASE, Action.RELEASE])
+
+
 def seeded_voting(seed):
     """Voting with thresholds drawn from the seed; low thresholds make it
     launch VMs, which then turn ready inside a window, as well as release."""
@@ -278,3 +292,51 @@ def test_utilization_is_busy_overlap_with_window(run):
     sim._observe = checked
     result = sim.run(make_trace(arrivals), policy, horizon)
     assert observed == [w.end for w in result.windows]
+
+
+def primary_fingerprint(cluster, policy):
+    """Everything a replay could disturb: the primary cluster's counters,
+    its next VM id, every VM's fields and schedule, and the policy's Q table."""
+    vms = [
+        tuple(tuple(vm.jobs) if name == "jobs" else getattr(vm, name) for name in VmInstance.__slots__)
+        for vm in cluster.all_vms()
+    ]
+    qtable = getattr(policy, "qtable", None)
+    learned = None if qtable is None else (dict(qtable.values), dict(qtable.visits))
+    counters = (cluster.submitted, cluster.successes, cluster.failures, cluster.next_vm_id)
+    return counters, list(cluster.active), vms, learned
+
+
+@settings(RUN_SETTINGS, max_examples=200)
+@given(runs(min_arrivals=10))
+def test_replays_leave_the_primary_run_untouched(run):
+    cfg, horizon, arrivals, policy = run
+    sim = Simulation(cfg)
+    replay = Checkpoint.replay
+
+    def isolated(self, *args, **kwargs):
+        before = primary_fingerprint(sim.cluster, policy)
+        result = replay(self, *args, **kwargs)
+        assert primary_fingerprint(sim.cluster, policy) == before, self.time
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Checkpoint, "replay", isolated)
+        sim.run(make_trace(arrivals), policy, horizon)
+
+
+@settings(RUN_SETTINGS, max_examples=150)
+@given(runs(policies=(ChurnPolicy, seeded_voting), min_arrivals=20))
+def test_charged_cycles_cover_each_vm_until_release(run):
+    # a released VM drains the work it holds, and that drain is not billed:
+    # the bill covers only [anchor, min(release, horizon)]
+    cfg, horizon, arrivals, policy = run
+    sim = Simulation(cfg)
+    sim.run(make_trace(arrivals), policy, horizon, record_debt=False)
+    cycle = cfg.billing_cycle
+    for vm in sim.cluster.all_vms():
+        if vm.anchor > horizon:
+            continue
+        end = horizon if vm.released_at is None else min(vm.released_at, horizon)
+        charged = billing_cycles_charged(vm, horizon, cycle)
+        assert charged * cycle >= end - vm.anchor - 1e-9 * cycle, vm.id

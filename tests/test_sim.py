@@ -3,7 +3,7 @@ import math
 import pytest
 
 from conftest import FixedPolicy, dispatch_alone, make_trace, oracle_cycles, recorded_jobs
-from elastidebt.policies import Action
+from elastidebt.policies import ACTION_ORDER, Action
 from elastidebt.sim import (
     Checkpoint,
     Cluster,
@@ -484,6 +484,44 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
         return [(w.start, w.end, w.breakdown, w.ready_vms) for w in windows]
 
     assert primary(unrecorded.windows) == primary(recorded.windows)
+
+
+class RewardLog(FixedPolicy):
+    """Takes each action in turn and logs every reward it is handed."""
+
+    def __init__(self, learns):
+        self.learns = learns
+        self.turns = 0
+        self.rewards = []
+
+    def decide(self, obs):
+        self.turns += 1
+        return ACTION_ORDER[self.turns % len(ACTION_ORDER)]
+
+    def observe_reward(self, reward, obs):
+        self.rewards.append((obs.time, reward))
+
+
+@pytest.mark.parametrize("learns", [True, False], ids=["proactive", "retrospective"])
+def test_policy_is_rewarded_once_per_record_before_the_horizon(learns):
+    from elastidebt.workload import default_profile, generate_trace
+
+    # the horizon is no decision point, so the final window settles a record
+    horizon = 1230.0
+    trace = generate_trace(default_profile(), horizon, seed=4)
+    policy = RewardLog(learns)
+    result = run_simulation(SimConfig(), trace, policy, horizon)
+    settled = [(w.end, w.record.debt) for w in result.windows if w.record is not None]
+    assert len(settled) == len(result.records) > 2
+    assert settled[-1][0] == horizon
+    assert any(debt < 0.0 for _, debt in settled[:-1])
+    # the record the horizon settles rewards no one: no decision follows it
+    assert policy.rewards == settled[:-1]
+
+    unrecorded = RewardLog(learns)
+    result = run_simulation(SimConfig(), trace, unrecorded, horizon, record_debt=False)
+    assert len(result.records) == len(settled)
+    assert unrecorded.rewards == []
 
 
 def test_window_sequence_partitions_run(maintain_policy):
