@@ -65,21 +65,10 @@ class SimConfig:
             value = getattr(self, f.name)
             if not isinstance(value, str) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
-        positive = (
-            "spin_up",
-            "cool_down",
-            "billing_cycle",
-            "decision_interval",
-            "vm_capacity",
-            "sla_response_limit",
-            "price_per_request",
-            "penalty_per_request",
-            "vm_cost_per_cycle",
-            "cycle_proximity",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # every time, rate and price is positive: each float field but sla_target
+        for f in fields(self):
+            if isinstance(f.default, float) and f.name != "sla_target" and getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.initial_vms < 1:
             raise ValueError("initial_vms must be at least 1")
         if self.billing_anchor not in ("at_request", "at_ready"):
@@ -222,16 +211,18 @@ class Cluster:
     a request's schedule and SLA verdict live in its VM's ``jobs``, so the
     primary run and every replay share one trace.
 
-    ``active`` is kept in ascending id order: ``launch_vm`` adds ids in
-    increasing order, ``release_vm`` only deletes and ``Checkpoint.replay``
-    inserts in id order.  It is never empty once a VM is launched, because
-    ``release_vm`` refuses to release the last active VM.
+    ``vms`` holds every VM launched and ``active`` those not released, both
+    in ascending id order: ``launch_vm`` adds ids in increasing order,
+    ``release_vm`` only deletes from ``active`` and ``fork`` inserts in id
+    order.  ``active`` is never empty once a VM is launched, because
+    ``release_vm`` refuses to release the last active VM.  ``fork`` is the
+    one way to copy a cluster.
     """
 
     def __init__(self, config: SimConfig):
         self.config = config
+        self.vms: dict[int, VmInstance] = {}
         self.active: dict[int, VmInstance] = {}
-        self.retired: dict[int, VmInstance] = {}
         self.next_vm_id = 0
         self.submitted = 0
         self.successes = 0
@@ -251,21 +242,20 @@ class Cluster:
             ready = now + self.config.spin_up
             anchor = now if self.config.billing_anchor == "at_request" else ready
             vm = VmInstance(vm_id, ready, anchor)
-        self.active[vm_id] = vm
+        self.vms[vm_id] = self.active[vm_id] = vm
         return vm_id
 
     def release_vm(self, vm_id: int, now: float) -> None:
         """Stop dispatching to the VM; it still finishes the work it holds."""
         vm = self.active.get(vm_id)
         if vm is None:
-            if vm_id in self.retired:
+            if vm_id in self.vms:
                 raise ValueError(f"vm {vm_id} is already released")
             raise ValueError(f"unknown vm {vm_id}")
         if len(self.active) == 1:
             raise ValueError(f"vm {vm_id} is the last active VM; arrivals would have nowhere to go")
         vm.released_at = now
         del self.active[vm_id]
-        self.retired[vm_id] = vm
 
     def apply(self, action: Action, now: float) -> None:
         """Carry out a policy action; a release that would leave no VM is skipped."""
@@ -276,23 +266,33 @@ class Cluster:
             if victim is not None:
                 self.release_vm(victim, now)
 
-    def all_vms(self) -> list[VmInstance]:
-        vms = list(self.active.values()) + list(self.retired.values())
-        vms.sort(key=lambda v: v.id)
-        return vms
+    def fork(self, t: float) -> Cluster:
+        """An independent copy of the cluster at ``t``: the same config and
+        next VM id, zeroed counters and a clone of every VM, except released
+        VMs with no work left and no cycle still owed after ``t``, which
+        cannot change any count from ``t`` on."""
+        fork = Cluster(self.config)
+        fork.next_vm_id = self.next_vm_id
+        cycle = self.config.billing_cycle
+        for vm in self.vms.values():
+            if vm.released_at is not None and not vm.jobs and vm.anchor <= t:
+                owed = billing_cycles_charged(vm, _INF, cycle, close=False)
+                if billing_cycles_charged(vm, t, cycle, close=False) == owed:
+                    continue
+            clone = fork.vms[vm.id] = vm.clone()
+            if clone.released_at is None:
+                fork.active[vm.id] = clone
+        return fork
 
     def outstanding_requests(self) -> int:
-        return sum(len(vm.jobs) for vms in (self.active, self.retired) for vm in vms.values())
+        return sum(len(vm.jobs) for vm in self.vms.values())
 
     def counts(self, t: float, close: bool = False) -> WindowCounts:
         """Requests submitted and counted so far, and billing cycles charged
         by ``t`` (every started one when ``t`` closes the bill)."""
         cycle = self.config.billing_cycle
         charged = sum(
-            billing_cycles_charged(vm, t, cycle, close)
-            for vms in (self.active, self.retired)
-            for vm in vms.values()
-            if vm.anchor <= t
+            billing_cycles_charged(vm, t, cycle, close) for vm in self.vms.values() if vm.anchor <= t
         )
         return WindowCounts(self.submitted, self.successes, self.failures, charged)
 
@@ -354,22 +354,20 @@ class Cluster:
         for now, work in zip(arrivals[idx:end], trace.work[idx:end]):
             dispatch(now, work)
         self.submitted += end - idx
-        for vms in (self.active, self.retired):
-            for vm in vms.values():
-                self._settle_vm(vm, until)
+        for vm in self.vms.values():
+            self._settle_vm(vm, until)
         return end
 
 
 class Checkpoint:
     """Replayable snapshot of the cluster at a decision point.
 
-    ``replay`` clones the snapshot into a private cluster (a fork), applies
-    one candidate action, runs the window with no further adaptations and
-    returns the window's utility.  The trace is shared read-only; nothing
-    in the primary run is modified.  The window is charged the cycles the
-    fork's VMs are charged by its end less those they were charged by the
-    checkpoint, which earlier windows paid.  Retired VMs
-    with no work left and no cycle still to pay are not snapshotted.
+    The checkpoint holds ``cluster.fork(time)``.  ``replay`` forks it again
+    into a private cluster, applies one candidate action, runs the window
+    with no further adaptations and returns the window's utility.  The
+    trace is shared read-only; nothing in the primary run is modified.  The
+    window is charged the cycles the fork's VMs are charged by its end less
+    those they were charged by the checkpoint, which earlier windows paid.
 
     The last MAINTAIN fork stays paused where its replay stopped, and a
     later MAINTAIN replay that runs at least as far resumes it.  Advancing
@@ -381,29 +379,14 @@ class Checkpoint:
     extending that fork.
     """
 
-    def __init__(
-        self,
-        config: SimConfig,
-        time: float,
-        cluster: Cluster,
-        trace: WorkloadTrace,
-        arrival_idx: int,
-    ):
-        self.config = config
+    def __init__(self, time: float, cluster: Cluster, trace: WorkloadTrace, arrival_idx: int):
         self.time = time
+        self.cluster = cluster.fork(time)
         self.trace = trace
         self.arrival_idx = arrival_idx
-        self.next_vm_id = cluster.next_vm_id
         # fork, arrival index, time, and the fork's counts at the checkpoint
         self._paused: tuple[Cluster, int, float, WindowCounts] | None = None
-        cycle = config.billing_cycle
-        self.vm_snaps: list[VmInstance] = []
-        for vm in cluster.all_vms():
-            if vm.released_at is not None and not vm.jobs and vm.anchor <= time:
-                owed = billing_cycles_charged(vm, _INF, cycle, close=False)
-                if billing_cycles_charged(vm, time, cycle, close=False) == owed:
-                    continue  # fully retired: no effect inside any window
-            self.vm_snaps.append(vm.clone())
+        self.vm_snaps = self.cluster.vms.values()  # the VMs it holds, in id order
 
     def replay(self, action: Action, window: float, start: float | None = None) -> UtilityBreakdown:
         """Utility of ``action`` from the checkpoint to ``start + window``.
@@ -417,18 +400,14 @@ class Checkpoint:
         if paused is not None and paused[2] <= end:
             cluster, idx, _, before = paused
         else:
-            cluster = Cluster(self.config)
-            cluster.next_vm_id = self.next_vm_id
-            for snap in self.vm_snaps:
-                vms = cluster.active if snap.released_at is None else cluster.retired
-                vms[snap.id] = snap.clone()
+            cluster = self.cluster.fork(self.time)
             cluster.apply(action, self.time)
             idx = self.arrival_idx
             before = cluster.counts(self.time)
         idx = cluster.advance(end, self.trace, idx)
         if action is Action.MAINTAIN:
             self._paused = (cluster, idx, end, before)
-        return (cluster.counts(end) - before).utility(self.config)
+        return (cluster.counts(end) - before).utility(self.cluster.config)
 
 
 @dataclass
@@ -454,9 +433,26 @@ class SimulationResult:
     submitted: int
     in_flight_at_end: int
     vms_launched: int
-    horizon: float
     # the trace's read-only ``WorkloadTrace.requests`` view
     requests: Sequence[Request] = field(repr=False, default=())
+
+
+def _check_trace(trace: WorkloadTrace, horizon: float) -> None:
+    """Reject what ``parse_trace`` rejects, and arrivals outside [0, horizon].
+    Each check is one pass in C that NaN fails; only a failing one looks for
+    the request at fault."""
+    arrivals, work = trace.arrivals, trace.work
+    for i in (0, len(arrivals) - 1) if arrivals else ():
+        if not 0.0 <= arrivals[i] <= horizon:
+            raise ValueError(f"request {i} arrives at {arrivals[i]!r}, outside [0, horizon {horizon}]")
+    i = first_out_of_order(arrivals)
+    if i is not None:
+        raise ValueError(f"arrivals are out of order at request {i}: {arrivals[i]!r} after {arrivals[i - 1]}")
+    if work and not (min(work) > 0.0 and math.isfinite(sum(work))):
+        # a sum also overflows on finite values, which pass
+        for i, w in enumerate(work):
+            if not 0.0 < w < _INF:
+                raise ValueError(f"request {i}: work must be positive and finite, got {w!r}")
 
 
 def _decision_ticks(interval: float, horizon: float):
@@ -510,11 +506,7 @@ class Simulation:
         self._ran = True
         if not 0 < horizon < _INF:
             raise ValueError(f"horizon must be positive and finite, got {horizon}")
-        if trace.arrivals and trace.arrivals[-1] > horizon:
-            raise ValueError("trace extends beyond the horizon")
-        unordered = first_out_of_order(trace.arrivals)
-        if unordered is not None:
-            raise ValueError(f"trace arrivals are out of order at request {unordered}")
+        _check_trace(trace, horizon)
         cfg = self.config
         cluster = self.cluster
 
@@ -544,7 +536,7 @@ class Simulation:
             # the cluster before this decision point's action, which the
             # pending adaptation's valuation forks as well; the horizon
             # takes no action
-            checkpoint = None if final or not record_debt else Checkpoint(cfg, t, cluster, trace, idx)
+            checkpoint = None if final or not record_debt else Checkpoint(t, cluster, trace, idx)
 
             record = None
             if pending is not None:
@@ -596,7 +588,6 @@ class Simulation:
             submitted=cluster.submitted,
             in_flight_at_end=cluster.outstanding_requests(),
             vms_launched=cluster.next_vm_id,
-            horizon=horizon,
             requests=trace.requests,
         )
 

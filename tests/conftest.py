@@ -100,8 +100,8 @@ def captured_checkpoints():
     captured: dict[float, Checkpoint] = {}
     original = Checkpoint.__init__
 
-    def capturing(self, config, time, *args):
-        original(self, config, time, *args)
+    def capturing(self, time, *args):
+        original(self, time, *args)
         captured[time] = copy.copy(self)
 
     with pytest.MonkeyPatch.context() as mp:

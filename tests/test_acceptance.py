@@ -229,9 +229,9 @@ def build_checkpoint(cfg, vm_specs, arrivals, t0):
     cluster = Cluster(cfg)
     for spec in vm_specs:
         vm = VmInstance(spec["id"], spec["ready"], spec["anchor"])
-        cluster.active[spec["id"]] = vm
+        cluster.vms[spec["id"]] = cluster.active[spec["id"]] = vm
     cluster.next_vm_id = max(spec["id"] for spec in vm_specs) + 1
-    return Checkpoint(cfg, t0, cluster, make_trace(arrivals), 0)
+    return Checkpoint(t0, cluster, make_trace(arrivals), 0)
 
 
 def test_criterion_7_counterfactual_matches_brute_force():

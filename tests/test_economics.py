@@ -78,7 +78,7 @@ def idle_checkpoint(n_vms: int, at: float, cfg: SimConfig) -> Checkpoint:
         cluster.launch_vm(0.0, initial=True)
     empty = make_trace([])
     cluster.advance(at, empty, 0)
-    return Checkpoint(cfg, at, cluster, empty, 0)
+    return Checkpoint(at, cluster, empty, 0)
 
 
 def test_release_beats_maintain_by_one_cycle_cost_when_idle():
@@ -157,8 +157,8 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
     checkpoints = {}
     original = Checkpoint.__init__
 
-    def capturing(self, config, time, *args):
-        original(self, config, time, *args)
+    def capturing(self, time, *args):
+        original(self, time, *args)
         checkpoints[time] = self
 
     replays = []
@@ -244,8 +244,9 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
     # one replay per candidate: the taken action's is the MAINTAIN fork of
     # the next checkpoint, except in the final window
     assert len(replays) == sum(len(rec.per_action_utilities) for rec in records)
-    # a resumed MAINTAIN fork builds no cluster; the primary run builds one
-    assert len(forks) == 1 + len(replays) - len(resumed)
+    # the primary run builds one cluster and each checkpoint forks one;
+    # each replay forks one more, except a resumed MAINTAIN fork
+    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed)
 
     for rec in records:
         per_action = rec.per_action_utilities

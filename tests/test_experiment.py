@@ -24,7 +24,7 @@ from elastidebt.experiment import (
 )
 from elastidebt.policies import LearningParams, VotingParams
 from elastidebt.sim import SimConfig, run_simulation
-from elastidebt.workload import RateProfile, Segment
+from elastidebt.workload import RateProfile, Segment, load_profile
 
 
 def quick_config(seed=0, policy="voting", horizon=1200.0):
@@ -154,6 +154,28 @@ def test_every_parameter_field_loads_with_its_type(tmp_path):
             value = getattr(sec, f.name)
             assert value == NON_DEFAULT[f.name], f.name
             assert type(value) is type(NON_DEFAULT[f.name]), f.name
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+BUNDLED = sorted(
+    os.path.join(kind, name)
+    for kind in ("configs", "profiles")
+    for name in os.listdir(os.path.join(ROOT, kind))
+    if name.endswith(".cfg")
+)
+
+
+def test_bundled_files_are_listed():
+    assert "configs/experiment-quick.cfg" in BUNDLED and "profiles/default-6h.cfg" in BUNDLED
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_bundled_file_loads_and_validates(name):
+    path = os.path.join(ROOT, name)
+    if name.startswith("configs"):
+        load_config(path).validate()
+    else:
+        load_profile(path).validate()
 
 
 def test_config_file_errors(tmp_path):

@@ -7,6 +7,7 @@ the boundaries ``anchor + k * cycle``; neither sums cycles one by one, so
 fractional values land on the same boundaries.
 """
 
+import copy
 import random
 
 import pytest
@@ -128,21 +129,13 @@ def test_maintain_replay_ignores_earlier_calls(scenario, calls):
         assert checkpoint.replay(action, window, start=start) == expected, (action, before, after)
 
 
-def fleet_cluster(cfg, checkpoint):
-    """A primary cluster holding the checkpoint's fleet."""
-    cluster = Cluster(cfg)
-    for snap in checkpoint.vm_snaps:
-        cluster.active[snap.id] = snap.clone()
-    return cluster
-
-
 @PROPERTY_SETTINGS
 @given(scenarios(), st.lists(st.integers(0, 900), max_size=6))
 def test_advancing_in_steps_changes_nothing(conserving, scenario, steps):
     cfg, vm_specs, window, arrivals = scenario
     checkpoint = build_checkpoint(cfg, vm_specs, arrivals, T0)
     end = T0 + window
-    whole, stepped = fleet_cluster(cfg, checkpoint), fleet_cluster(cfg, checkpoint)
+    whole, stepped = checkpoint.cluster.fork(T0), checkpoint.cluster.fork(T0)
     whole.advance(end, checkpoint.trace, 0)
     idx = 0
     for until in sorted(T0 + s for s in steps if s < window):
@@ -150,7 +143,7 @@ def test_advancing_in_steps_changes_nothing(conserving, scenario, steps):
     stepped.advance(end, checkpoint.trace, idx)
 
     def outcome(cluster):
-        vms = [(vm.id, list(vm.jobs)) for vm in cluster.all_vms()]
+        vms = [(vm.id, list(vm.jobs)) for vm in cluster.vms.values()]
         return cluster.submitted, cluster.counts(end), vms
 
     assert outcome(stepped) == outcome(whole)
@@ -235,7 +228,7 @@ def test_full_run_invariants(run):
     assert sum(w.breakdown.utility for w in windows) == result.aggregate_utility
     # each window pays the cycles whose boundaries it passed; the last one
     # closes the bill and pays every started cycle
-    vms = sim.cluster.all_vms()
+    vms = sim.cluster.vms.values()
     for win in windows:
         close = win.end == horizon
         charged = sum(
@@ -299,7 +292,7 @@ def primary_fingerprint(cluster, policy):
     its next VM id, every VM's fields and schedule, and the policy's Q table."""
     vms = [
         tuple(tuple(vm.jobs) if name == "jobs" else getattr(vm, name) for name in VmInstance.__slots__)
-        for vm in cluster.all_vms()
+        for vm in cluster.vms.values()
     ]
     qtable = getattr(policy, "qtable", None)
     learned = None if qtable is None else (dict(qtable.values), dict(qtable.visits))
@@ -334,9 +327,57 @@ def test_charged_cycles_cover_each_vm_until_release(run):
     sim = Simulation(cfg)
     sim.run(make_trace(arrivals), policy, horizon, record_debt=False)
     cycle = cfg.billing_cycle
-    for vm in sim.cluster.all_vms():
+    for vm in sim.cluster.vms.values():
         if vm.anchor > horizon:
             continue
         end = horizon if vm.released_at is None else min(vm.released_at, horizon)
         charged = billing_cycles_charged(vm, horizon, cycle)
         assert charged * cycle >= end - vm.anchor - 1e-9 * cycle, vm.id
+
+
+def test_forks_drop_only_vms_that_cannot_change_a_window():
+    # a checkpoint's fork leaves out released VMs with no work and no cycle
+    # still owed; replaying each candidate by hand on a deep copy of the
+    # whole primary cluster must give what Checkpoint.replay gives
+    dropped, draining = [], []
+
+    @settings(RUN_SETTINGS, max_examples=120)
+    # slow VMs keep queues long enough for a released VM to hold work at
+    # the next checkpoint
+    @given(runs(policies=(ChurnPolicy, seeded_voting), min_arrivals=20), st.sampled_from([0.2, 2.0, 10.0]))
+    def check(run, capacity):
+        cfg, horizon, arrivals, policy = run
+        cfg.vm_capacity = capacity
+        trace = make_trace(arrivals)
+        primaries = {}
+        init, replay = Checkpoint.__init__, Checkpoint.replay
+        replays = []
+
+        def capturing(self, time, cluster, trace, arrival_idx):
+            init(self, time, cluster, trace, arrival_idx)
+            primaries[time] = copy.deepcopy(cluster)
+            dropped.append(len(cluster.vms) - len(self.vm_snaps))
+            draining.extend(vm.id for vm in self.vm_snaps if vm.released_at is not None and vm.jobs)
+
+        def logged(self, action, window, start=None):
+            result = replay(self, action, window, start)
+            replays.append((self, action, window, start, result.utility))
+            return result
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Checkpoint, "__init__", capturing)
+            mp.setattr(Checkpoint, "replay", logged)
+            Simulation(cfg).run(trace, policy, horizon)
+        for checkpoint, action, window, start, utility in replays:
+            t = checkpoint.time
+            cluster = copy.deepcopy(primaries[t])
+            cluster.apply(action, t)
+            before = cluster.counts(t)
+            end = (t if start is None else start) + window
+            cluster.advance(end, trace, checkpoint.arrival_idx)
+            assert (cluster.counts(end) - before).utility(cfg).utility == utility, (t, action)
+
+    check()
+    # both sides of the rule occur: VMs dropped, and released VMs kept for
+    # the work they still hold
+    assert sum(dropped) > 0 and draining

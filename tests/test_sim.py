@@ -1,9 +1,10 @@
 import math
+import re
 
 import pytest
 
 from conftest import FixedPolicy, dispatch_alone, make_trace, oracle_cycles, recorded_jobs
-from elastidebt.policies import ACTION_ORDER, Action
+from elastidebt.policies import ACTION_ORDER, Action, VotingPolicy
 from elastidebt.sim import (
     Checkpoint,
     Cluster,
@@ -113,7 +114,7 @@ def test_replay_cluster_keeps_active_in_id_order(monkeypatch):
         return original(self, until, trace, idx)
 
     monkeypatch.setattr(Cluster, "advance", recording)
-    checkpoint = Checkpoint(cfg, 120.0, cluster, make_trace([]), 0)
+    checkpoint = Checkpoint(120.0, cluster, make_trace([]), 0)
     checkpoint.replay(Action.MAINTAIN, 60.0)
     checkpoint.replay(Action.LAUNCH, 60.0)
     assert seen == [[0, 2, 3, 4], [0, 2, 3, 4, 5]]
@@ -190,13 +191,13 @@ def test_released_vm_drains_queue_and_counts_responses():
     cluster.release_vm(vm_id, 0.05)
     cluster.advance(100.0, reqs, 3)
     assert cluster.successes == 3
-    assert cluster.retired[vm_id].is_idle()
+    assert cluster.vms[vm_id].is_idle()
     # released VM accepts no new work
     late = make_trace([(150.0, 2.0)])
     cluster.advance(150.0, late, 0)
     assert [start for start, _, _ in cluster.active[other].jobs] == [150.0]
     cluster.advance(200.0, late, 1)
-    assert cluster.retired[vm_id].last_finish == finishes[-1]
+    assert cluster.vms[vm_id].last_finish == finishes[-1]
     assert cluster.successes == 4
     # the last active VM cannot be released
     with pytest.raises(ValueError, match="last active VM"):
@@ -391,6 +392,34 @@ def test_unordered_trace_rejected(maintain_policy):
         run_simulation(SimConfig(), trace, maintain_policy, 60.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "arrivals, work, index, value",
+    [
+        pytest.param([NAN], [2.0], 0, "nan", id="nan-only-arrival"),
+        pytest.param([NAN, 10.0], [2.0, 2.0], 0, "nan", id="nan-first-arrival"),
+        pytest.param([10.0, NAN, 30.0], [2.0, 2.0, 2.0], 1, "nan", id="nan-middle-arrival"),
+        pytest.param([10.0, NAN], [2.0, 2.0], 1, "nan", id="nan-last-arrival"),
+        pytest.param([-50.0, 10.0], [2.0, 2.0], 0, "-50.0", id="negative-arrival"),
+        pytest.param([10.0, 20.0], [2.0, 0.0], 1, "0.0", id="zero-work"),
+        pytest.param([10.0, 20.0], [-2.0, 2.0], 0, "-2.0", id="negative-work"),
+        pytest.param([10.0, 20.0], [2.0, NAN], 1, "nan", id="nan-work"),
+        pytest.param([10.0, 20.0], [INF, 2.0], 0, "inf", id="infinite-work"),
+        pytest.param([10.0, 20.0], [2.0, -INF], 1, "-inf", id="negative-infinite-work"),
+    ],
+)
+def test_invalid_trace_columns_rejected(arrivals, work, index, value):
+    # what parse_trace rejects in a file fails the same way in columns
+    # built directly, before any simulation, naming the request and value
+    trace = WorkloadTrace(arrivals, work, 60.0)
+    sim = Simulation(SimConfig(initial_vms=1))
+    with pytest.raises(ValueError, match=rf"request {index}\b.* {re.escape(value)}\b"):
+        sim.run(trace, VotingPolicy(), 60.0)
+    assert sim.cluster.submitted == 0
+
+
 def test_policy_returning_junk_rejected():
     class Junk(FixedPolicy):
         def decide(self, obs):
@@ -434,7 +463,7 @@ def test_billed_cycles_cover_busy_span():
             # and the cycle in progress is not charged yet
             interior.append(now)
             charged = 0
-            for vm in sim.cluster.all_vms():
+            for vm in sim.cluster.vms.values():
                 cycles = billing_cycles_charged(vm, now, cycle, close=False)
                 assert cycles == oracle_cycles(vm, now, cycle)
                 charged += cycles
@@ -447,7 +476,7 @@ def test_billed_cycles_cover_busy_span():
     sim._observe = checked
     result = sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
     assert interior == [60.0 + 120.0 * k for k in range(12)]
-    vms = {vm.id: vm for vm in sim.cluster.all_vms()}
+    vms = {vm.id: vm for vm in sim.cluster.vms.values()}
     assert len({vm_id for vm_id, *_ in jobs}) == len(vms) == cfg.initial_vms
     charged = 0
     for vm_id, vm in vms.items():
@@ -472,7 +501,7 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
     original = Checkpoint.__init__
 
     def counting(self, *args, **kwargs):
-        built.append(args[1])
+        built.append(args[0])
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Checkpoint, "__init__", counting)
