@@ -26,7 +26,7 @@ class Maintain:
 cluster = Cluster(SimConfig())
 vm_id = cluster.launch_vm(0.0, initial=True)
 # a trace is two columns: arrival times and work (MI)
-burst = WorkloadTrace(arrivals=[0.0] * 10, work=[2.0] * 10, duration=0.0)
+burst = WorkloadTrace(arrivals=[0.0] * 10, work=[2.0] * 10)
 cluster.advance(0.0, burst, 0)  # dispatch all ten; each is scheduled on arrival
 
 print("ten 2 MI requests at t=0 on a single 10 MIPS VM:")
@@ -39,7 +39,7 @@ print(f"successes {cluster.successes}, failures {cluster.failures}")
 # --- 2. spin-up lag: work dispatched to a machine that is still booting ------
 
 cfg = SimConfig(initial_vms=1)
-late = WorkloadTrace(arrivals=[0.0], work=[2.0], duration=10.0)
+late = WorkloadTrace(arrivals=[0.0], work=[2.0])
 
 
 class LaunchOnce(Maintain):

@@ -207,14 +207,14 @@ def _run_on(
         )
 
     counts = result.totals.counts
-    failed_fraction = counts.failures / result.submitted if result.submitted else 0.0
+    failed_fraction = counts.failures / counts.submitted if counts.submitted else 0.0
     totals = ReportTotals(
         aggregate_utility=cumulative,
         revenue=result.totals.revenue,
         penalty=result.totals.penalty,
         total_cost=result.totals.vm_cost,
         total_debt=total_debt,
-        submitted=result.submitted,
+        submitted=counts.submitted,
         successes=counts.successes,
         failures=counts.failures,
         failed_fraction=failed_fraction,
@@ -264,7 +264,7 @@ def compare(a: ExperimentReport, b: ExperimentReport) -> ComparisonSummary:
     if ub != 0.0:
         pct = 100.0 * (ua - ub) / abs(ub)
     else:
-        pct = 0.0 if ua == 0.0 else float("inf")
+        pct = 0.0 if ua == 0.0 else math.copysign(math.inf, ua)
     mean_a = a.totals.total_debt / a.totals.adaptations if a.totals.adaptations else 0.0
     mean_b = b.totals.total_debt / b.totals.adaptations if b.totals.adaptations else 0.0
     return ComparisonSummary(

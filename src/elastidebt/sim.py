@@ -25,13 +25,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections import deque
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 
 from . import economics
 from .economics import AdaptationRecord, UtilityBreakdown, WindowCounts
 from .policies import ACTION_ORDER, Action, StateKey, discretize_state
-from .workload import Request, WorkloadTrace, first_out_of_order
+from .workload import RequestView, WorkloadTrace, first_out_of_order
 
 _EPS = 1e-9
 _INF = float("inf")
@@ -112,12 +111,6 @@ class VmInstance:
         self.last_finish = 0.0
         self.served = 0.0
 
-    def outstanding(self) -> int:
-        return len(self.jobs)
-
-    def is_idle(self) -> bool:
-        return not self.jobs
-
     def clone(self) -> VmInstance:
         """An independent copy of the VM, schedule included."""
         vm = VmInstance(self.id, self.ready_at, self.anchor)
@@ -188,11 +181,11 @@ def select_release_victim(cluster: "Cluster", now: float) -> int | None:
     if len(active) <= 1:
         return None
     cycle = cluster.config.billing_cycle
-    idle = [vm for vm in active if vm.ready_at <= now and vm.is_idle()]
+    idle = [vm for vm in active if vm.ready_at <= now and not vm.jobs]
     if idle:
         victim = min(idle, key=lambda v: (_time_to_boundary(v, now, cycle), v.id))
     else:
-        victim = min(active, key=lambda v: (v.outstanding(), v.id))
+        victim = min(active, key=lambda v: (len(v.jobs), v.id))
     return victim.id
 
 
@@ -430,11 +423,10 @@ class SimulationResult:
     records: list[AdaptationRecord]
     totals: UtilityBreakdown
     aggregate_utility: float
-    submitted: int
     in_flight_at_end: int
     vms_launched: int
     # the trace's read-only ``WorkloadTrace.requests`` view
-    requests: Sequence[Request] = field(repr=False, default=())
+    requests: RequestView = field(repr=False)
 
 
 def _check_trace(trace: WorkloadTrace, horizon: float) -> None:
@@ -585,7 +577,6 @@ class Simulation:
             records=records,
             totals=totals,
             aggregate_utility=cumulative,
-            submitted=cluster.submitted,
             in_flight_at_end=cluster.outstanding_requests(),
             vms_launched=cluster.next_vm_id,
             requests=trace.requests,
@@ -681,7 +672,7 @@ class Simulation:
         with_queue = sum(1 for vm in ready if len(vm.jobs) > 1)
         idle_near = 0
         for vm in ready:
-            if vm.is_idle():
+            if not vm.jobs:
                 remaining = _time_to_boundary(vm, now, cfg.billing_cycle)
                 if remaining <= cfg.cycle_proximity + _EPS:
                     idle_near += 1

@@ -50,13 +50,10 @@ class Request:
     work: float
 
 
-class RequestView(Sequence):
-    """Read-only sequence of ``Request`` items over a trace's columns.
-
-    Each item is built when it is read, so the view costs nothing until
-    iterated.  It compares equal to another view with equal columns, or to
-    any sequence of equal requests.
-    """
+class RequestView:
+    """Read-only view of a trace's columns as ``Request`` items: its length,
+    and iteration in trace order.  Each item is built when it is read, so
+    the view costs nothing until iterated."""
 
     __slots__ = ("_arrivals", "_work")
 
@@ -67,32 +64,17 @@ class RequestView(Sequence):
     def __len__(self) -> int:
         return len(self._arrivals)
 
-    def __getitem__(self, i):
-        idx = range(len(self._arrivals))[i]
-        if isinstance(idx, range):
-            return [Request(j, self._arrivals[j], self._work[j]) for j in idx]
-        return Request(idx, self._arrivals[idx], self._work[idx])
-
     def __iter__(self) -> Iterator[Request]:
         return map(Request, count(), self._arrivals, self._work)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, RequestView):
-            return self._arrivals == other._arrivals and self._work == other._work
-        if isinstance(other, Sequence) and not isinstance(other, str):
-            return list(self) == list(other)
-        return NotImplemented
 
 
 @dataclass(frozen=True)
 class WorkloadTrace:
     """A trace as columns: request i arrives at ``arrivals[i]`` with
-    ``work[i]`` MI.  Arrivals are non-decreasing; ``duration`` is the span
-    the trace covers."""
+    ``work[i]`` MI.  Arrivals are non-decreasing."""
 
     arrivals: list[float]
     work: list[float]
-    duration: float
 
     def __post_init__(self) -> None:
         if len(self.arrivals) != len(self.work):
@@ -105,7 +87,7 @@ class WorkloadTrace:
 
     @cached_property
     def requests(self) -> RequestView:
-        """The trace as a read-only sequence of ``Request`` items."""
+        """The trace as a read-only view of ``Request`` items."""
         return RequestView(self.arrivals, self.work)
 
 
@@ -211,7 +193,7 @@ def generate_trace(profile: RateProfile, duration: float, seed: int) -> Workload
     else:
         times = _poisson_arrivals(profile, duration, seed)
 
-    return WorkloadTrace(times, [profile.work_mi] * len(times), float(duration))
+    return WorkloadTrace(times, [profile.work_mi] * len(times))
 
 
 def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float]:
@@ -304,8 +286,7 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
         order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
         arrivals = [arrivals[i] for i in order]
         work = [work[i] for i in order]
-    duration = arrivals[-1] if arrivals else 0.0
-    return WorkloadTrace(arrivals, work, duration)
+    return WorkloadTrace(arrivals, work)
 
 
 def serialize_trace(trace: WorkloadTrace) -> str:

@@ -31,13 +31,10 @@ def make_obs(
     )
 
 
-def make_trace(arrivals: list[tuple[float, float]], duration: float | None = None) -> WorkloadTrace:
+def make_trace(arrivals: list[tuple[float, float]]) -> WorkloadTrace:
     """A trace of ``(arrival, work)`` pairs, sorted."""
     pairs = sorted(arrivals)
-    times = [t for t, _ in pairs]
-    if duration is None:
-        duration = times[-1] if times else 0.0
-    return WorkloadTrace(times, [w for _, w in pairs], duration)
+    return WorkloadTrace([t for t, _ in pairs], [w for _, w in pairs])
 
 
 def dispatch_alone(work: float) -> tuple[float, float, bool]:

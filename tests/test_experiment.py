@@ -303,7 +303,7 @@ def test_paired_policies_share_the_workload(monkeypatch):
     assert da.result.requests is vo.result.requests
     # the runs provision differently, and neither writes into the trace
     assert [r.ready_vms for r in da.rows] != [r.ready_vms for r in vo.rows]
-    assert da.result.requests == generate(*generated[0]).requests
+    assert list(da.result.requests) == list(generate(*generated[0]).requests)
 
 
 def test_wall_clock_is_recorded():
@@ -346,6 +346,19 @@ def test_compare_rejects_mismatched_horizons():
     b = report_stub(utility=1.0, horizon=200.0)
     with pytest.raises(ValueError, match="horizon"):
         compare(a, b)
+
+
+@pytest.mark.parametrize("ua, expected_pct", [(-1.5, -math.inf), (2.0, math.inf), (0.0, 0.0)])
+def test_compare_against_zero_baseline_keeps_the_sign(ua, expected_pct):
+    a = report_stub(utility=ua, debt=-0.6, adaptations=4)
+    b = report_stub(utility=0.0, debt=-0.3, adaptations=0)
+    summary = compare(a, b)
+    assert summary.utility_delta == ua
+    assert summary.utility_delta_pct == expected_pct
+    assert summary.mean_debt_a == pytest.approx(-0.15)
+    assert summary.mean_debt_b == 0.0  # no adaptations: no mean to take
+    sign = "-" if ua < 0 else "+"
+    assert f"({sign}{abs(expected_pct):.2f}%)" in summary.lines()[0]
 
 
 # -- csv emission -----------------------------------------------------------------

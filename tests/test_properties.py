@@ -222,9 +222,9 @@ def test_full_run_invariants(run):
     windows = result.windows
     assert windows[0].start == 0.0 and windows[-1].end == horizon
     assert all(prev.end == cur.start for prev, cur in zip(windows, windows[1:]))
-    assert result.submitted == len(arrivals)
     t = result.totals.counts
-    assert t.successes + t.failures + result.in_flight_at_end == result.submitted
+    assert t.submitted == len(arrivals)
+    assert t.successes + t.failures + result.in_flight_at_end == t.submitted
     assert sum(w.breakdown.utility for w in windows) == result.aggregate_utility
     # each window pays the cycles whose boundaries it passed; the last one
     # closes the bill and pays every started cycle

@@ -57,7 +57,7 @@ def test_dispatch_tie_breaks_on_lowest_id():
     cluster.launch_vm(0.0, initial=True)
     # equal loads at every step: the lower id wins each tie
     assert dispatch_all(cluster, 0.0, 2.0, 2.0, 2.0, 2.0) == [0, 1, 0, 1]
-    assert [vm.outstanding() for vm in cluster.active.values()] == [2, 2]
+    assert [len(vm.jobs) for vm in cluster.active.values()] == [2, 2]
     assert cluster.dispatch(0.0, 2.0) == 0
 
 
@@ -133,7 +133,7 @@ def test_request_on_pending_vm_waits_for_ready():
     assert finish == pytest.approx(105.2)
     cluster.advance(500.0, arrivals, 1)
     assert cluster.failures == 1
-    assert cluster.active[vm_id].is_idle()
+    assert not cluster.active[vm_id].jobs
 
 
 # -- launch / release --------------------------------------------------------
@@ -184,14 +184,14 @@ def test_released_vm_drains_queue_and_counts_responses():
     vm_id = cluster.launch_vm(0.0, initial=True)
     reqs = make_trace([(0.0, 2.0)] * 3)
     cluster.advance(0.0, reqs, 0)  # one executing, two queued
-    assert cluster.active[vm_id].outstanding() == 3
+    assert len(cluster.active[vm_id].jobs) == 3
     finishes = [finish for _, finish, _ in cluster.active[vm_id].jobs]
     assert finishes == pytest.approx([0.2, 0.4, 0.6])
     other = cluster.launch_vm(0.0, initial=True)
     cluster.release_vm(vm_id, 0.05)
     cluster.advance(100.0, reqs, 3)
     assert cluster.successes == 3
-    assert cluster.vms[vm_id].is_idle()
+    assert not cluster.vms[vm_id].jobs
     # released VM accepts no new work
     late = make_trace([(150.0, 2.0)])
     cluster.advance(150.0, late, 0)
@@ -298,7 +298,7 @@ def test_fifo_queueing_hand_trace(maintain_policy):
     # ten simultaneous 2 MI requests on one 10 MIPS VM finish at 0.2, 0.4, ... 2.0;
     # only the 2.0 s completion misses the strict < 2 s SLA
     cfg = SimConfig(initial_vms=1)
-    trace = make_trace([(0.0, 2.0)] * 10, duration=10.0)
+    trace = make_trace([(0.0, 2.0)] * 10)
     sim = Simulation(cfg)
     jobs = recorded_jobs(sim.cluster)
     result = sim.run(trace, maintain_policy, 600.0)
@@ -314,11 +314,9 @@ def test_conservation_of_requests():
 
     trace = generate_trace(default_profile(), 900.0, seed=11)
     result = run_simulation(SimConfig(), trace, FixedPolicy(Action.MAINTAIN), 900.0)
-    assert result.submitted == len(trace.arrivals)
-    assert (
-        result.totals.counts.successes + result.totals.counts.failures + result.in_flight_at_end
-        == result.submitted
-    )
+    counts = result.totals.counts
+    assert counts.submitted == len(trace.arrivals)
+    assert counts.successes + counts.failures + result.in_flight_at_end == counts.submitted
 
 
 def test_conservation_holds_at_every_decision_point():
@@ -387,7 +385,7 @@ def test_trace_beyond_horizon_rejected(maintain_policy):
 
 
 def test_unordered_trace_rejected(maintain_policy):
-    trace = WorkloadTrace([20.0, 10.0], [2.0, 2.0], 20.0)
+    trace = WorkloadTrace([20.0, 10.0], [2.0, 2.0])
     with pytest.raises(ValueError, match="out of order at request 1"):
         run_simulation(SimConfig(), trace, maintain_policy, 60.0)
 
@@ -413,7 +411,7 @@ NAN, INF = float("nan"), float("inf")
 def test_invalid_trace_columns_rejected(arrivals, work, index, value):
     # what parse_trace rejects in a file fails the same way in columns
     # built directly, before any simulation, naming the request and value
-    trace = WorkloadTrace(arrivals, work, 60.0)
+    trace = WorkloadTrace(arrivals, work)
     sim = Simulation(SimConfig(initial_vms=1))
     with pytest.raises(ValueError, match=rf"request {index}\b.* {re.escape(value)}\b"):
         sim.run(trace, VotingPolicy(), 60.0)
