@@ -6,13 +6,7 @@ rewarded with elasticity debts) and an economics engine that values every
 adaptation by counterfactual replay of the discarded actions.
 """
 
-from .economics import (
-    AdaptationRecord,
-    UtilityBreakdown,
-    compute_debt,
-    compute_utility,
-    counterfactual_ideal,
-)
+from .economics import AdaptationRecord, UtilityBreakdown, counterfactual_ideal
 from .experiment import (
     ExperimentConfig,
     ExperimentReport,
@@ -86,8 +80,6 @@ __all__ = [
     "allowed_actions",
     "billing_cycles_charged",
     "compare",
-    "compute_debt",
-    "compute_utility",
     "counterfactual_ideal",
     "default_config",
     "default_profile",

@@ -1,11 +1,14 @@
 """Window utility, SLA penalties and elasticity-debt valuation.
 
-The utility of a monitoring window is revenue from successful requests minus
-per-request SLA penalties minus VM cycle charges.  The elasticity debt of an
+The utility of a span is revenue from successful requests minus SLA
+penalties minus VM cycle charges, priced once from its raw
+``WindowCounts`` by ``WindowCounts.utility``.  The elasticity debt of an
 adaptation is the (non-positive) gap between the utility its window actually
 produced and the best utility any of the candidate actions would have
 produced, found by replaying the window from a checkpoint under each
-discarded action.
+discarded action up to the window's end.  ``counterfactual_ideal`` returns
+each candidate's utility, and an ``AdaptationRecord`` reads the taken
+action's utility, the best one and the debt from them.
 
 The action the primary run took is not replayed where the primary run has
 already measured it.  Retrospectively, its window is the one the primary
@@ -17,6 +20,7 @@ MAINTAIN fork of the next checkpoint over the rest, by adding raw
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .policies import ACTION_ORDER, Action, StateKey
@@ -54,95 +58,79 @@ class WindowCounts:
         )
 
     def utility(self, config) -> UtilityBreakdown:
-        """The span's utility under ``config``'s SLA mode and prices."""
-        x_f = penalized_failures(self.successes, self.failures, config.sla_mode, config.sla_target)
-        breakdown = compute_utility(self.successes, x_f, (self.cycles,), config)
-        breakdown.counts = self
-        return breakdown
+        """The span's utility under ``config``'s prices and SLA mode; the one
+        pricing rule.
+
+        "per_request" penalizes every failure.  "floor" allows as many
+        failures as the completed requests exceed the successes
+        ``sla_target`` requires of them, and penalizes the rest: the
+        shortfall below the required successes.
+        """
+        if self.successes < 0 or self.failures < 0:
+            raise ValueError("request counts must be non-negative")
+        penalized = self.failures
+        if config.sla_mode == "floor":
+            # the tolerance keeps 0.28 * 25 = 7.000000000000001 from requiring 8
+            required = math.ceil(config.sla_target * (self.successes + self.failures) - 1e-9)
+            penalized = max(0, required - self.successes)
+        elif config.sla_mode != "per_request":
+            raise ValueError(f"unknown sla_mode {config.sla_mode!r}")
+        revenue = config.price_per_request * self.successes
+        penalty = config.penalty_per_request * penalized
+        vm_cost = config.vm_cost_per_cycle * self.cycles
+        return UtilityBreakdown(revenue, penalty, vm_cost, revenue - penalty - vm_cost, self)
 
 
 @dataclass
 class UtilityBreakdown:
-    """Revenue, penalty and operating cost of one monitoring window.
-
-    ``counts`` holds the raw counts the breakdown was computed from, when
-    it was computed from counts; the penalized failures show only in
-    ``penalty``.
-    """
+    """Revenue, penalty and operating cost of one monitoring window, and the
+    raw counts they were computed from; the penalized failures show only in
+    ``penalty``."""
 
     revenue: float
     penalty: float
     vm_cost: float
     utility: float
-    counts: WindowCounts | None = None
+    counts: WindowCounts
 
 
 @dataclass
 class AdaptationRecord:
-    """One adaptation decision and its counterfactual valuation."""
+    """One adaptation decision and its counterfactual valuation.
+
+    ``per_action_utilities`` holds each candidate's window utility, and is
+    empty when debts are not recorded.  The taken action's utility, the
+    best one and the debt are read from it, and are 0.0 when it is empty.
+    """
 
     time: float
     state: StateKey
     action_taken: Action
-    u_actual: float
-    u_ideal: float
-    debt: float
     per_action_utilities: dict[Action, float] = field(default_factory=dict)
 
+    @property
+    def u_actual(self) -> float:
+        return self.per_action_utilities.get(self.action_taken, 0.0)
 
-def penalized_failures(successes: int, failures: int, mode: str, target: float = 0.95) -> int:
-    """Failures that actually incur a penalty under the configured SLA mode.
+    @property
+    def u_ideal(self) -> float:
+        return max(self.per_action_utilities.values(), default=0.0)
 
-    "per_request" penalizes every failure.  "floor" grants an allowance of
-    (1 - target) of the window's completed requests and penalizes only the
-    excess.
-    """
-    if mode == "per_request":
-        return failures
-    if mode == "floor":
-        allowance = int((1.0 - target) * (successes + failures))
-        return max(0, failures - allowance)
-    raise ValueError(f"unknown sla_mode {mode!r}")
-
-
-def compute_utility(
-    x_s: int,
-    x_f: int,
-    cycles_per_vm,
-    prices,
-) -> UtilityBreakdown:
-    """Window utility from success/failure counts and per-VM cycle charges.
-
-    ``prices`` needs ``price_per_request``, ``penalty_per_request`` and
-    ``vm_cost_per_cycle`` attributes (a SimConfig works).
-    """
-    if x_s < 0 or x_f < 0:
-        raise ValueError("request counts must be non-negative")
-    revenue = prices.price_per_request * x_s
-    penalty = prices.penalty_per_request * x_f
-    vm_cost = prices.vm_cost_per_cycle * sum(cycles_per_vm)
-    return UtilityBreakdown(
-        revenue=revenue,
-        penalty=penalty,
-        vm_cost=vm_cost,
-        utility=revenue - penalty - vm_cost,
-    )
-
-
-def compute_debt(u_actual: float, u_ideal: float) -> float:
-    """Elasticity debt: actual minus ideal window utility (non-positive)."""
-    return u_actual - u_ideal
+    @property
+    def debt(self) -> float:
+        """Elasticity debt: actual minus ideal window utility (non-positive)."""
+        return self.u_actual - self.u_ideal
 
 
 def counterfactual_ideal(
     checkpoint,
     candidate_actions: tuple[Action, ...],
-    window: float,
+    end: float,
     measured: dict[Action, float] | None = None,
-) -> tuple[float, dict[Action, float]]:
-    """Replay the window once per candidate action and return the best utility.
+) -> dict[Action, float]:
+    """Each candidate action's utility over the window ending at ``end``.
 
-    ``checkpoint`` must expose ``replay(action, window) -> UtilityBreakdown``
+    ``checkpoint`` must expose ``replay(action, end) -> UtilityBreakdown``
     over a private clone of the simulator state, so the primary run is never
     perturbed.  Candidates whose window utility is already ``measured`` take
     that value and are not replayed: the action the primary run took, valued
@@ -154,12 +142,8 @@ def counterfactual_ideal(
     if not candidate_actions:
         raise ValueError("candidate action set is empty")
     measured = measured or {}
-    per_action: dict[Action, float] = {}
-    for action in ACTION_ORDER:
-        if action not in candidate_actions:
-            continue
-        if action in measured:
-            per_action[action] = measured[action]
-        else:
-            per_action[action] = checkpoint.replay(action, window).utility
-    return max(per_action.values()), per_action
+    return {
+        action: measured[action] if action in measured else checkpoint.replay(action, end).utility
+        for action in ACTION_ORDER
+        if action in candidate_actions
+    }

@@ -356,11 +356,12 @@ class Checkpoint:
     """Replayable snapshot of the cluster at a decision point.
 
     The checkpoint holds ``cluster.fork(time)``.  ``replay`` forks it again
-    into a private cluster, applies one candidate action, runs the window
-    with no further adaptations and returns the window's utility.  The
-    trace is shared read-only; nothing in the primary run is modified.  The
-    window is charged the cycles the fork's VMs are charged by its end less
-    those they were charged by the checkpoint, which earlier windows paid.
+    into a private cluster, applies one candidate action, runs it with no
+    further adaptations to the window's end and returns the utility of the
+    span from the checkpoint to that end.  The trace is shared read-only;
+    nothing in the primary run is modified.  The span is charged the cycles
+    the fork's VMs are charged by its end less those they were charged by
+    the checkpoint, which earlier windows paid.
 
     The last MAINTAIN fork stays paused where its replay stopped, and a
     later MAINTAIN replay that runs at least as far resumes it.  Advancing
@@ -381,14 +382,12 @@ class Checkpoint:
         self._paused: tuple[Cluster, int, float, WindowCounts] | None = None
         self.vm_snaps = self.cluster.vms.values()  # the VMs it holds, in id order
 
-    def replay(self, action: Action, window: float, start: float | None = None) -> UtilityBreakdown:
-        """Utility of ``action`` from the checkpoint to ``start + window``.
+    def replay(self, action: Action, end: float) -> UtilityBreakdown:
+        """Utility of ``action`` from the checkpoint to ``end``.
 
-        ``start`` defaults to the checkpoint's time.  An earlier start
-        carries on a window that opened before the checkpoint; the result
-        then counts only the span after the checkpoint.
+        A window that opened before the checkpoint is carried on by
+        counting only its span after the checkpoint.
         """
-        end = (self.time if start is None else start) + window
         paused = self._paused if action is Action.MAINTAIN else None
         if paused is not None and paused[2] <= end:
             cluster, idx, _, before = paused
@@ -606,33 +605,22 @@ class Simulation:
         ``now``, joined with a MAINTAIN fork of ``checkpoint`` when it runs
         past, and replayed with the other candidates when it ends before.
         """
-        u_actual = u_ideal = 0.0
         per_action: dict[Action, float] = {}
         if pending.checkpoint is not None:
             elapsed = now - pending.time
             # the window ``run`` fixed, or else the span since the adaptation
             window = self._window or elapsed
+            end = pending.time + window
             known = None
             if measured is not None and window >= elapsed:
                 counts = measured.counts
                 if window > elapsed:
                     # the primary run held the taken action up to the next
                     # checkpoint; MAINTAIN from there runs the rest of its window
-                    counts += checkpoint.replay(Action.MAINTAIN, window, start=pending.time).counts
+                    counts += checkpoint.replay(Action.MAINTAIN, end).counts
                 known = {pending.action: counts.utility(self.config).utility}
-            u_ideal, per_action = economics.counterfactual_ideal(
-                pending.checkpoint, pending.candidates, window, known
-            )
-            u_actual = per_action[pending.action]
-        return AdaptationRecord(
-            time=pending.time,
-            state=pending.state,
-            action_taken=pending.action,
-            u_actual=u_actual,
-            u_ideal=u_ideal,
-            debt=economics.compute_debt(u_actual, u_ideal),
-            per_action_utilities=per_action,
-        )
+            per_action = economics.counterfactual_ideal(pending.checkpoint, pending.candidates, end, known)
+        return AdaptationRecord(pending.time, pending.state, pending.action, per_action)
 
     def _window_metrics(
         self,
@@ -646,10 +634,8 @@ class Simulation:
         ideal = len(self.cluster.active)
         if record is not None and record.per_action_utilities:
             # the taken action when its debt is zero, else the first best one
-            per_action = record.per_action_utilities
-            ideal_action = next(
-                a for a in (record.action_taken, *ACTION_ORDER) if per_action.get(a) == record.u_ideal
-            )
+            per_action, best = record.per_action_utilities, record.u_ideal
+            ideal_action = next(a for a in (record.action_taken, *ACTION_ORDER) if per_action.get(a) == best)
             delta = {Action.LAUNCH: 1, Action.RELEASE: -1, Action.MAINTAIN: 0}[ideal_action]
             ideal = max(1, pending.live_vms_before + delta)
         return WindowMetrics(

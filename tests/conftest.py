@@ -106,9 +106,9 @@ def captured_checkpoints():
         yield captured
 
 
-def direct_replays(checkpoint: Checkpoint, actions, window: float) -> dict[Action, float]:
-    """Each action's utility from a fresh fork of the checkpoint over ``window``."""
-    return {a: Checkpoint.replay(copy.copy(checkpoint), a, window).utility for a in actions}
+def direct_replays(checkpoint: Checkpoint, actions, end: float) -> dict[Action, float]:
+    """Each action's utility from a fresh fork of the checkpoint up to ``end``."""
+    return {a: Checkpoint.replay(copy.copy(checkpoint), a, end).utility for a in actions}
 
 
 class FixedPolicy:

@@ -1,15 +1,12 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import captured_checkpoints, direct_replays, dispatch_alone, make_trace
-from elastidebt.economics import (
-    compute_debt,
-    compute_utility,
-    counterfactual_ideal,
-    penalized_failures,
-)
-from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingPolicy
+from elastidebt.economics import AdaptationRecord, WindowCounts, counterfactual_ideal
+from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, Level, StateKey, VotingPolicy
 from elastidebt.sim import Checkpoint, Cluster, SimConfig, run_simulation
 from elastidebt.workload import default_profile, generate_trace
 
@@ -24,21 +21,24 @@ def test_classify_examples():
 
 def test_compute_utility_hand_example():
     # 1000 successes, 50 failures, two VMs charged 3 cycles each
-    ub = compute_utility(1000, 50, [3, 3], SimConfig())
+    ub = WindowCounts(1050, 1000, 50, 6).utility(SimConfig())
     assert ub.revenue == pytest.approx(1.2344, abs=1e-12)
     assert ub.penalty == pytest.approx(0.1, abs=1e-12)
     assert ub.vm_cost == pytest.approx(0.06666, abs=1e-12)
     assert ub.utility == pytest.approx(1.06774, abs=1e-12)
     assert ub.utility == ub.revenue - ub.penalty - ub.vm_cost
+    assert ub.counts == WindowCounts(1050, 1000, 50, 6)
 
 
 def test_compute_utility_edge_cases():
-    empty = compute_utility(0, 0, [], SimConfig())
+    empty = WindowCounts(0, 0, 0, 0).utility(SimConfig())
     assert empty.utility == 0.0
-    ub = compute_utility(0, 10, [1], SimConfig())
+    ub = WindowCounts(10, 0, 10, 1).utility(SimConfig())
     assert ub.utility == pytest.approx(-0.03111, abs=1e-12)
     with pytest.raises(ValueError):
-        compute_utility(-1, 0, [], SimConfig())
+        WindowCounts(0, -1, 0, 0).utility(SimConfig())
+    with pytest.raises(ValueError):
+        WindowCounts(0, 0, -1, 0).utility(SimConfig())
 
 
 def test_compute_utility_is_linear():
@@ -46,30 +46,58 @@ def test_compute_utility_is_linear():
     rng = random.Random(4)
     for _ in range(50):
         xs, xf = rng.randrange(2000), rng.randrange(200)
-        cyc = [rng.randrange(5) for _ in range(rng.randrange(4))]
-        ub = compute_utility(xs, xf, cyc, cfg)
+        cyc = sum(rng.randrange(5) for _ in range(rng.randrange(4)))
+        ub = WindowCounts(xs + xf, xs, xf, cyc).utility(cfg)
         expected = (
             cfg.price_per_request * xs
             - cfg.penalty_per_request * xf
-            - cfg.vm_cost_per_cycle * sum(cyc)
+            - cfg.vm_cost_per_cycle * cyc
         )
         assert ub.utility == pytest.approx(expected, abs=1e-12)
-        doubled = compute_utility(2 * xs, xf, cyc, cfg)
+        doubled = WindowCounts(2 * xs + xf, 2 * xs, xf, cyc).utility(cfg)
         assert doubled.revenue == pytest.approx(2 * ub.revenue, rel=1e-12)
 
 
+def record(per_action, taken=Action.MAINTAIN):
+    return AdaptationRecord(60.0, StateKey(Level.LOW, Level.LOW), taken, per_action)
+
+
 def test_compute_debt():
-    assert compute_debt(5.0, 5.0) == 0.0
-    assert compute_debt(4.9, 5.0) == pytest.approx(-0.1)
+    equal = record({Action.MAINTAIN: 5.0, Action.LAUNCH: 5.0})
+    assert (equal.u_actual, equal.u_ideal, equal.debt) == (5.0, 5.0, 0.0)
+    short = record({Action.MAINTAIN: 4.9, Action.LAUNCH: 5.0})
+    assert short.u_actual == 4.9 and short.u_ideal == 5.0
+    assert short.debt == pytest.approx(-0.1)
+
+
+def penalties(successes, failures, mode, target=0.95):
+    """Failures penalized in a window of ``successes`` and ``failures``."""
+    cfg = SimConfig(sla_mode=mode, sla_target=target, penalty_per_request=1.0)
+    return WindowCounts(successes + failures, successes, failures, 0).utility(cfg).penalty
 
 
 def test_penalized_failures_modes():
-    assert penalized_failures(900, 100, "per_request") == 100
+    assert penalties(900, 100, "per_request") == 100
     # floor mode: 5% of 1000 completed = 50 failures are tolerated
-    assert penalized_failures(900, 100, "floor", target=0.95) == 50
-    assert penalized_failures(990, 10, "floor", target=0.95) == 0
+    assert penalties(900, 100, "floor", target=0.95) == 50
+    assert penalties(990, 10, "floor", target=0.95) == 0
     with pytest.raises(ValueError):
-        penalized_failures(1, 1, "sometimes")
+        WindowCounts(2, 1, 1, 0).utility(SimConfig(sla_mode="sometimes"))
+
+
+@pytest.mark.parametrize("target", [0.8, 0.9, 0.95, 0.99])
+def test_floor_allowance_is_exact(target):
+    # the allowance is the completed requests less the successes the floor
+    # requires of them, in exact arithmetic: 1 - 0.9 is 0.0999...98 in
+    # binary, which must not cost 10 completed requests their one allowed
+    # failure
+    exact = Fraction(str(target))
+    for n in range(2001):
+        allowance = n - math.ceil(exact * n)
+        for failures in {0, allowance, allowance + 1, n}:
+            if failures <= n:
+                expected = max(0, failures - allowance)
+                assert penalties(n - failures, failures, "floor", target) == expected, (n, failures)
 
 
 def idle_checkpoint(n_vms: int, at: float, cfg: SimConfig) -> Checkpoint:
@@ -86,26 +114,26 @@ def test_release_beats_maintain_by_one_cycle_cost_when_idle():
     # is how many cycle boundaries land inside the window
     cfg = SimConfig(initial_vms=2)
     ckpt = idle_checkpoint(2, 600.0, cfg)
-    u_ideal, per_action = counterfactual_ideal(ckpt, ACTION_ORDER, 360.0)
+    per_action = counterfactual_ideal(ckpt, ACTION_ORDER, 960.0)
     assert per_action[Action.RELEASE] - per_action[Action.MAINTAIN] == pytest.approx(0.01111)
     assert per_action[Action.MAINTAIN] - per_action[Action.LAUNCH] == pytest.approx(0.01111)
-    assert u_ideal == per_action[Action.RELEASE]
+    assert max(per_action.values()) == per_action[Action.RELEASE]
 
 
 def test_equal_candidate_utilities_mean_zero_debt():
     # a single VM: release is refused and collapses onto maintain
     cfg = SimConfig(initial_vms=1)
     ckpt = idle_checkpoint(1, 600.0, cfg)
-    _, per_action = counterfactual_ideal(ckpt, (Action.MAINTAIN, Action.RELEASE), 360.0)
+    per_action = counterfactual_ideal(ckpt, (Action.MAINTAIN, Action.RELEASE), 960.0)
     assert per_action[Action.MAINTAIN] == per_action[Action.RELEASE]
-    assert compute_debt(per_action[Action.RELEASE], max(per_action.values())) == 0.0
+    assert record(per_action, Action.RELEASE).debt == 0.0
 
 
 def test_counterfactual_rejects_empty_candidates():
     cfg = SimConfig(initial_vms=1)
     ckpt = idle_checkpoint(1, 600.0, cfg)
     with pytest.raises(ValueError):
-        counterfactual_ideal(ckpt, (), 360.0)
+        counterfactual_ideal(ckpt, (), 960.0)
 
 
 def test_replay_does_not_perturb_primary_run():
@@ -164,9 +192,9 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
     replays = []
     replay = Checkpoint.replay
 
-    def counting(self, action, window):
+    def counting(self, action, end):
         replays.append(action)
-        return replay(self, action, window)
+        return replay(self, action, end)
 
     monkeypatch.setattr(Checkpoint, "__init__", capturing)
     monkeypatch.setattr(Checkpoint, "replay", counting)
@@ -179,7 +207,7 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
             continue
         rec = win.record
         assert rec.u_actual == win.breakdown.utility
-        replayed = replay(checkpoints[rec.time], rec.action_taken, win.end - rec.time)
+        replayed = replay(checkpoints[rec.time], rec.action_taken, rec.time + (win.end - rec.time))
         assert replayed.utility == win.breakdown.utility
         checked += 1
     assert checked >= 5
@@ -206,9 +234,9 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
     replays = []
     replay = Checkpoint.replay
 
-    def counting(self, action, span, start=None):
+    def counting(self, action, end):
         replays.append(action)
-        return replay(self, action, span, start)
+        return replay(self, action, end)
 
     forks = []
     cluster_init = Cluster.__init__
@@ -250,6 +278,6 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
 
     for rec in records:
         per_action = rec.per_action_utilities
-        assert per_action == direct_replays(checkpoints[rec.time], per_action, window)
+        assert per_action == direct_replays(checkpoints[rec.time], per_action, rec.time + window)
         assert rec.u_actual == per_action[rec.action_taken]
         assert rec.u_ideal == max(per_action.values())

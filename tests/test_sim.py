@@ -115,8 +115,8 @@ def test_replay_cluster_keeps_active_in_id_order(monkeypatch):
 
     monkeypatch.setattr(Cluster, "advance", recording)
     checkpoint = Checkpoint(120.0, cluster, make_trace([]), 0)
-    checkpoint.replay(Action.MAINTAIN, 60.0)
-    checkpoint.replay(Action.LAUNCH, 60.0)
+    checkpoint.replay(Action.MAINTAIN, 180.0)
+    checkpoint.replay(Action.LAUNCH, 180.0)
     assert seen == [[0, 2, 3, 4], [0, 2, 3, 4, 5]]
 
 
@@ -506,6 +506,10 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
     unrecorded = run_simulation(SimConfig(), trace, policy, 1200.0, record_debt=False)
     assert built == []
     assert len(unrecorded.records) == len(recorded.records) > 0
+    # an unvalued record reads no utility and no debt
+    for rec in unrecorded.records:
+        assert rec.per_action_utilities == {}
+        assert rec.u_actual == rec.u_ideal == rec.debt == 0.0
 
     def primary(windows):
         return [(w.start, w.end, w.breakdown, w.ready_vms) for w in windows]
