@@ -172,7 +172,8 @@ def _time_to_boundary(vm: VmInstance, now: float, billing_cycle: float) -> float
 
 
 def select_release_victim(cluster: "Cluster", now: float) -> int | None:
-    """Pick the VM to release, or None when only one VM would remain.
+    """Pick the VM to release, or None when only one VM is active, so that
+    releasing it would leave none.
 
     Prefers the idle ready VM nearest its next billing boundary (least
     partial-usage waste); otherwise the VM with the least outstanding work.
@@ -192,13 +193,14 @@ def select_release_victim(cluster: "Cluster", now: float) -> int | None:
 class Cluster:
     """Cluster state shared by the primary run and replays.
 
-    ``dispatch`` schedules each arrival on its VM when it arrives, and
-    ``advance`` settles every VM at the time it advances to by counting the
-    requests finished by then.  Counters, ``outstanding_requests`` and each
-    VM's ``jobs`` therefore describe the cluster at that time once
-    ``advance`` returns.  The cluster keeps no window state: ``counts(t)``
-    reads the cycles charged by t from each VM's anchor and release time,
-    and ``busy_time`` reads a VM's busy time from its schedule.
+    ``advance`` holds the dispatch rule: it schedules each arrival on its VM
+    when it arrives, then settles every VM at the time it advances to by
+    counting the requests finished by then.  Counters,
+    ``outstanding_requests`` and each VM's ``jobs`` therefore describe the
+    cluster at that time once ``advance`` returns.  The cluster keeps no
+    window state: ``counts(t)`` reads the cycles charged by t from each VM's
+    anchor and release time, and ``busy_time`` reads a VM's busy time from
+    its schedule.
 
     The trace is only read, one arrival time and one work value at a time:
     a request's schedule and SLA verdict live in its VM's ``jobs``, so the
@@ -291,64 +293,63 @@ class Cluster:
 
     # -- request flow ------------------------------------------------------
 
-    def dispatch(self, now: float, work: float) -> int:
-        """Schedule a request of ``work`` MI arriving at ``now`` on the live
-        VM with the fewest outstanding requests, lowest id on ties, and
-        return that VM's id.
-
-        Live VMs include those still spinning up: an arrival can be parked on
-        a pending VM with nothing outstanding and starts when it is ready.
-        A VM has nothing outstanding exactly when its last finish is <= now,
-        so the scan stops at the first such VM (``active`` is in ascending id
-        order).  Only when every VM is busy are their finished requests
-        settled to count the loads.  The request starts at the latest of its
-        arrival, the VM's ready time and the VM's last finish; it meets the
-        SLA when its response time is below the limit by more than 1e-9 s,
-        so queued jobs that sum to the limit (ten 0.2 s jobs, 2.0 s) fail.
-        """
-        for vm in self.active.values():
-            if vm.last_finish <= now:
-                start = now if vm.ready_at <= now else vm.ready_at
-                break
-        else:
-            vm = None
-            load = 0
-            for cand in self.active.values():
-                jobs = cand.jobs
-                if jobs[0][1] <= now:
-                    self._settle_vm(cand, now)
-                if vm is None or len(jobs) < load:
-                    vm, load = cand, len(jobs)
-            # a busy VM's last finish is after now and after it turned ready
-            start = vm.last_finish
-        finish = start + work / self._capacity
-        vm.jobs.append((start, finish, finish - now < self._sla_limit))
-        vm.last_finish = finish
-        return vm.id
-
     def _settle_vm(self, vm: VmInstance, now: float) -> None:
         """Count the VM's requests that finish by ``now`` and their service time."""
         jobs = vm.jobs
+        done = ok = 0
+        served = vm.served
         while jobs and jobs[0][1] <= now:
-            start, finish, ok = jobs.popleft()
-            if ok:
-                self.successes += 1
-            else:
-                self.failures += 1
-            vm.served += finish - start
+            start, finish, met = jobs.popleft()
+            done += 1
+            ok += met
+            served += finish - start
+        vm.served = served
+        self.successes += ok
+        self.failures += done - ok
 
     def advance(self, until: float, trace: WorkloadTrace, idx: int) -> int:
         """Dispatch every arrival of the trace from index ``idx`` with time
         <= until, then settle every VM at until; returns the index of the
-        first unconsumed arrival."""
+        first unconsumed arrival.
+
+        Each arrival goes to the live VM with the fewest outstanding
+        requests, lowest id on ties.  Live VMs include those still spinning
+        up: an arrival can be parked on a pending VM with nothing outstanding
+        and starts when it is ready.  A VM has nothing outstanding exactly
+        when its last finish is <= the arrival, so the scan stops at the
+        first such VM (``active`` is in ascending id order).  Only when every
+        VM is busy are their finished requests settled to count the loads.
+        A request starts at the latest of its arrival, the VM's ready time
+        and the VM's last finish; it meets the SLA when its response time is
+        below the limit by more than 1e-9 s, so queued jobs that sum to the
+        limit (ten 0.2 s jobs, 2.0 s) fail.
+        """
         arrivals = trace.arrivals
         end = bisect_right(arrivals, until, idx)
-        dispatch = self.dispatch
+        settle = self._settle_vm
+        live = list(self.active.values())
+        capacity, limit = self._capacity, self._sla_limit
         for now, work in zip(arrivals[idx:end], trace.work[idx:end]):
-            dispatch(now, work)
+            for vm in live:
+                if vm.last_finish <= now:
+                    start = now if vm.ready_at <= now else vm.ready_at
+                    break
+            else:
+                load = _INF
+                for cand in live:
+                    jobs = cand.jobs
+                    if jobs[0][1] <= now:
+                        settle(cand, now)
+                    if len(jobs) < load:
+                        vm, load = cand, len(jobs)
+                # a busy VM's last finish is after now and after it turned ready
+                start = vm.last_finish
+            finish = start + work / capacity
+            vm.jobs.append((start, finish, finish - now < limit))
+            vm.last_finish = finish
         self.submitted += end - idx
         for vm in self.vms.values():
-            self._settle_vm(vm, until)
+            settle(vm, until)
         return end
 
 
@@ -370,7 +371,9 @@ class Checkpoint:
     this: the checkpoint at decision k+1 first runs MAINTAIN to the end of
     adaptation k's window, which joined with the primary run's window
     values the action taken at k; adaptation k+1 then values MAINTAIN by
-    extending that fork.
+    extending that fork.  When MAINTAIN was taken at k, the paused fork of
+    checkpoint k has already run that trajectory past k+1, so ``take_over``
+    moves it on to checkpoint k+1 instead of forking again.
     """
 
     def __init__(self, time: float, cluster: Cluster, trace: WorkloadTrace, arrival_idx: int):
@@ -400,6 +403,23 @@ class Checkpoint:
         if action is Action.MAINTAIN:
             self._paused = (cluster, idx, end, before)
         return (cluster.counts(end) - before).utility(self.cluster.config)
+
+    def take_over(self, earlier: Checkpoint, measured: WindowCounts) -> None:
+        """Carry on ``earlier``'s paused MAINTAIN fork as this checkpoint's.
+
+        The run must have held MAINTAIN from ``earlier`` to this checkpoint,
+        and ``measured`` count that span.  A fork paused at or past this
+        checkpoint then ran the run's own trajectory, so it is this
+        checkpoint's MAINTAIN fork, and its counts here are its counts at
+        ``earlier`` plus ``measured``.  The fork leaves ``earlier``, whose
+        next MAINTAIN replay forks afresh; a fork paused before this
+        checkpoint stays where it is.
+        """
+        paused = earlier._paused
+        if paused is not None and paused[2] >= self.time:
+            cluster, idx, end, before = paused
+            self._paused = (cluster, idx, end, before + measured)
+            earlier._paused = None
 
 
 @dataclass
@@ -616,7 +636,11 @@ class Simulation:
                 counts = measured.counts
                 if window > elapsed:
                     # the primary run held the taken action up to the next
-                    # checkpoint; MAINTAIN from there runs the rest of its window
+                    # checkpoint; MAINTAIN from there runs the rest of its
+                    # window, carrying on the adaptation's own MAINTAIN fork
+                    # when MAINTAIN was taken
+                    if pending.action is Action.MAINTAIN:
+                        checkpoint.take_over(pending.checkpoint, counts)
                     counts += checkpoint.replay(Action.MAINTAIN, end).counts
                 known = {pending.action: counts.utility(self.config).utility}
             per_action = economics.counterfactual_ideal(pending.checkpoint, pending.candidates, end, known)

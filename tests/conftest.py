@@ -5,6 +5,8 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+from bisect import bisect_right
+from collections import deque
 
 import pytest
 
@@ -42,23 +44,95 @@ def dispatch_alone(work: float) -> tuple[float, float, bool]:
     on a lone idle default VM."""
     cluster = Cluster(SimConfig())
     vm_id = cluster.launch_vm(0.0, initial=True)
-    cluster.dispatch(0.0, work)
+    cluster.advance(0.0, WorkloadTrace([0.0], [work]), 0)
     (job,) = cluster.active[vm_id].jobs
     return job
 
 
-def recorded_jobs(cluster):
-    """Log ``(vm_id, start, finish, ok)`` of every request the cluster dispatches."""
-    log = []
-    dispatch = cluster.dispatch
+class _LoggedJobs(deque):
+    """A VM's schedule that logs ``(vm_id, start, finish, ok)`` of every
+    request appended to it; a fork's clone of it is a plain deque."""
 
-    def recording(now, work):
-        vm_id = dispatch(now, work)
-        log.append((vm_id, *cluster.active[vm_id].jobs[-1]))
+    def __init__(self, vm_id, log, jobs=()):
+        super().__init__(jobs)
+        self.vm_id = vm_id
+        self.log = log
+
+    def append(self, job):
+        super().append(job)
+        self.log.append((self.vm_id, *job))
+
+
+def recorded_jobs(cluster):
+    """Log ``(vm_id, start, finish, ok)`` of every request the cluster
+    dispatches from now on, to VMs it holds now or launches later."""
+    log = []
+
+    def logged(vm_id):
+        vm = cluster.vms[vm_id]
+        vm.jobs = _LoggedJobs(vm_id, log, vm.jobs)
         return vm_id
 
-    cluster.dispatch = recording
+    for vm_id in cluster.vms:
+        logged(vm_id)
+    launch = cluster.launch_vm
+    cluster.launch_vm = lambda *args, **kwargs: logged(launch(*args, **kwargs))
     return log
+
+
+def dispatch_all(cluster, now, *works):
+    """Dispatch one request per work size, all arriving at ``now``, in one
+    ``advance``; returns the chosen VM ids in arrival order."""
+    log = recorded_jobs(cluster)
+    cluster.advance(now, WorkloadTrace([now] * len(works), list(works)), 0)
+    return [vm_id for vm_id, *_ in log]
+
+
+def reference_settle(cluster, vm, now: float) -> None:
+    """Count the VM's requests that finish by ``now``, one at a time."""
+    jobs = vm.jobs
+    while jobs and jobs[0][1] <= now:
+        start, finish, ok = jobs.popleft()
+        if ok:
+            cluster.successes += 1
+        else:
+            cluster.failures += 1
+        vm.served += finish - start
+
+
+def reference_dispatch(cluster, now: float, work: float) -> int:
+    """The dispatch rule applied to one arrival: the first VM in id order
+    with nothing outstanding, else the one with the fewest outstanding
+    requests after settling, lowest id on ties; returns its id."""
+    for vm in cluster.active.values():
+        if vm.last_finish <= now:
+            start = now if vm.ready_at <= now else vm.ready_at
+            break
+    else:
+        vm = None
+        load = 0
+        for cand in cluster.active.values():
+            jobs = cand.jobs
+            if jobs[0][1] <= now:
+                reference_settle(cluster, cand, now)
+            if vm is None or len(jobs) < load:
+                vm, load = cand, len(jobs)
+        start = vm.last_finish
+    finish = start + work / cluster.config.vm_capacity
+    vm.jobs.append((start, finish, finish - now < cluster.config.sla_response_limit - 1e-9))
+    vm.last_finish = finish
+    return vm.id
+
+
+def reference_advance(cluster, until: float, trace: WorkloadTrace, idx: int) -> int:
+    """``Cluster.advance`` by way of ``reference_dispatch``, one arrival at a time."""
+    end = bisect_right(trace.arrivals, until, idx)
+    for i in range(idx, end):
+        reference_dispatch(cluster, trace.arrivals[i], trace.work[i])
+        cluster.submitted += 1
+    for vm in cluster.vms.values():
+        reference_settle(cluster, vm, until)
+    return end
 
 
 def oracle_cycles(vm, t: float, cycle: float, close: bool = False) -> int:

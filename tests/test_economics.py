@@ -222,13 +222,17 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
         {"sla_mode": "floor"},
         {"billing_anchor": "at_ready", "decision_interval": 45.0, "billing_cycle": 250.0},
         {"cool_down": 400.0},  # every gap is at least the window: no joins
+        # windows join, but each paused fork ends before the next checkpoint
+        {"cool_down": 200.0},
     ],
 )
 def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
     # the taken action's window is the primary run's span to the next
     # checkpoint joined with a MAINTAIN fork from there, and MAINTAIN
-    # extends the fork the checkpoint already ran; both must equal a direct
-    # replay from the adaptation's own checkpoint, bit for bit
+    # extends the fork the checkpoint already ran; when MAINTAIN was taken,
+    # the adaptation's own paused MAINTAIN fork is handed on to the next
+    # checkpoint and joined there; all must equal a direct replay from the
+    # adaptation's own checkpoint, bit for bit
     cfg = SimConfig(**overrides)
     window = cfg.decision_interval + cfg.billing_cycle
     replays = []
@@ -265,19 +269,58 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
         if Action.MAINTAIN in records[i + 1].per_action_utilities
         and (records[i + 1].action_taken is not Action.MAINTAIN or i + 1 not in joined)
     ]
-    if "cool_down" in overrides:
+    # a join after MAINTAIN was taken resumes the fork the join before ran
+    # on the adaptation's checkpoint, when that fork reached the next one
+    handed = [
+        i
+        for i in joined
+        if i - 1 in joined
+        and records[i].action_taken is Action.MAINTAIN
+        and records[i - 1].time + window >= records[i + 1].time
+    ]
+    if overrides.get("cool_down") == 400.0:
         assert joined == []
     else:
         assert len(joined) == len(records) - 1 and resumed
+    if "cool_down" in overrides:
+        assert handed == []
+    else:
+        assert handed
     # one replay per candidate: the taken action's is the MAINTAIN fork of
     # the next checkpoint, except in the final window
     assert len(replays) == sum(len(rec.per_action_utilities) for rec in records)
     # the primary run builds one cluster and each checkpoint forks one;
-    # each replay forks one more, except a resumed MAINTAIN fork
-    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed)
+    # each replay forks one more, except a resumed or handed-on MAINTAIN fork
+    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed) - len(handed)
 
     for rec in records:
         per_action = rec.per_action_utilities
         assert per_action == direct_replays(checkpoints[rec.time], per_action, rec.time + window)
         assert rec.u_actual == per_action[rec.action_taken]
         assert rec.u_ideal == max(per_action.values())
+
+
+def test_run_checkpoints_replay_as_direct_replays(monkeypatch):
+    # after a run, replaying every candidate on the checkpoints the run
+    # itself built gives the direct replays: a paused fork handed on to the
+    # next checkpoint is no longer reachable from the one it left
+    cfg = SimConfig()
+    window = cfg.decision_interval + cfg.billing_cycle
+    live = {}
+    init = Checkpoint.__init__
+
+    def keeping(self, time, *args):
+        init(self, time, *args)
+        live[time] = self
+
+    monkeypatch.setattr(Checkpoint, "__init__", keeping)
+    trace = generate_trace(default_profile(), 2400.0, seed=31)
+    with captured_checkpoints() as checkpoints:
+        result = run_simulation(cfg, trace, DebtAwarePolicy(seed=4), 2400.0)
+    monkeypatch.undo()
+    assert sum(rec.action_taken is Action.MAINTAIN for rec in result.records) >= 3
+    for rec in result.records:
+        end = rec.time + window
+        per_action = rec.per_action_utilities
+        replayed = {a: live[rec.time].replay(a, end).utility for a in per_action}
+        assert replayed == direct_replays(checkpoints[rec.time], per_action, end) == per_action, rec.time

@@ -21,6 +21,7 @@ from conftest import (
     make_trace,
     oracle_cycles,
     recorded_jobs,
+    reference_advance,
 )
 from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingParams, VotingPolicy
 from elastidebt.sim import (
@@ -147,6 +148,69 @@ def test_advancing_in_steps_changes_nothing(conserving, scenario, steps):
         return cluster.submitted, cluster.counts(end), vms
 
     assert outcome(stepped) == outcome(whole)
+
+
+@st.composite
+def dispatch_cases(draw):
+    """A config, a fleet, arrivals, and the steps that split their dispatch.
+
+    Arrivals fall on a quarter-second grid and many work sizes are whole
+    quarter seconds of service, so arrivals tie with one another and with
+    finish times.  Each step advances to a time, then launches a VM, which
+    spins up, releases the i-th active VM, which drains what it holds, or
+    does neither.
+    """
+    cfg = SimConfig(
+        spin_up=draw(st.sampled_from([0.25, 1.0, 2.5, 10.0])),
+        vm_capacity=draw(st.sampled_from([1.0, 2.0, 4.0, 10.0])),
+        sla_response_limit=draw(st.sampled_from([0.25, 1.0, 2.0, 5.0])),
+        billing_anchor=draw(st.sampled_from(["at_request", "at_ready"])),
+    )
+    fleet = (draw(st.integers(1, 4)), draw(st.integers(0, 2)))  # ready, pending at 0
+    grid = st.integers(0, 60).map(lambda q: q / 4)
+    work = st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 20.0])
+    arrivals = draw(st.lists(st.tuples(grid, work), max_size=60))
+    op = st.one_of(st.none(), st.just("launch"), st.integers(0, 5))
+    steps = sorted(draw(st.lists(st.tuples(grid, op), max_size=8)), key=lambda step: step[0])
+    return cfg, fleet, arrivals, steps
+
+
+@PROPERTY_SETTINGS
+@given(dispatch_cases())
+# every VM is busy at 1.0, when vm0's first request finishes: settled, vm0
+# holds one request as vm1 does and wins the tie; unsettled, it holds two
+@example(case=(SimConfig(vm_capacity=2.0), (2, 0), [(0.0, 2.0), (0.25, 3.0), (0.5, 2.0), (1.0, 2.0)], []))
+def test_advance_dispatches_as_one_arrival_at_a_time(case):
+    # the dispatch loop in ``advance`` equals the reference rule applied to
+    # one arrival at a time, after every split, launch and release
+    cfg, (ready, pending), arrivals, steps = case
+    trace = make_trace(arrivals)
+    clusters = Cluster(cfg), Cluster(cfg)
+    for cluster in clusters:
+        for _ in range(ready):
+            cluster.launch_vm(0.0, initial=True)
+        for _ in range(pending):
+            cluster.launch_vm(0.0)
+
+    def state(cluster):
+        vms = [(vm.id, list(vm.jobs), vm.last_finish, vm.served) for vm in cluster.vms.values()]
+        return cluster.submitted, cluster.successes, cluster.failures, list(cluster.active), vms
+
+    looped, reference = clusters
+    idx = ref_idx = 0
+    for until, op in steps + [(30.0, None)]:
+        idx = looped.advance(until, trace, idx)
+        ref_idx = reference_advance(reference, until, trace, ref_idx)
+        assert idx == ref_idx
+        assert state(looped) == state(reference), until
+        if op == "launch":
+            for cluster in clusters:
+                cluster.launch_vm(until)
+        elif op is not None and len(looped.active) > 1:
+            victim = list(looped.active)[op % len(looped.active)]
+            for cluster in clusters:
+                cluster.release_vm(victim, until)
+    assert idx == len(arrivals)
 
 
 class RandomPolicy(FixedPolicy):

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from conftest import FixedPolicy, dispatch_alone, make_trace, oracle_cycles, recorded_jobs
+from conftest import FixedPolicy, dispatch_alone, dispatch_all, make_trace, oracle_cycles, recorded_jobs
 from elastidebt.policies import ACTION_ORDER, Action, VotingPolicy
 from elastidebt.sim import (
     Checkpoint,
@@ -35,11 +35,6 @@ def test_execution_time_is_work_over_capacity():
 # -- dispatch ----------------------------------------------------------------
 
 
-def dispatch_all(cluster, now, *works):
-    """Dispatch one request per work size at ``now``; returns the chosen VM ids."""
-    return [cluster.dispatch(now, work) for work in works]
-
-
 def test_dispatch_prefers_fewest_outstanding():
     cluster = Cluster(SimConfig())
     cluster.launch_vm(0.0, initial=True)
@@ -48,7 +43,7 @@ def test_dispatch_prefers_fewest_outstanding():
     assert dispatch_all(cluster, 0.0, 100.0, 2.0, 2.0, 100.0) == [0, 1, 0, 1]
     # vm1's first request finishes at 0.2, so an arrival at 0.2 sees vm1
     # holding one request and vm0 two
-    assert cluster.dispatch(0.2, 2.0) == 1
+    assert dispatch_all(cluster, 0.2, 2.0) == [1]
 
 
 def test_dispatch_tie_breaks_on_lowest_id():
@@ -58,7 +53,7 @@ def test_dispatch_tie_breaks_on_lowest_id():
     # equal loads at every step: the lower id wins each tie
     assert dispatch_all(cluster, 0.0, 2.0, 2.0, 2.0, 2.0) == [0, 1, 0, 1]
     assert [len(vm.jobs) for vm in cluster.active.values()] == [2, 2]
-    assert cluster.dispatch(0.0, 2.0) == 0
+    assert dispatch_all(cluster, 0.0, 2.0) == [0]
 
 
 def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
@@ -66,7 +61,7 @@ def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
     cluster.launch_vm(0.0, initial=True)
     cluster.launch_vm(0.0, initial=True)
     assert dispatch_all(cluster, 0.0, 2.0) == [0]
-    assert cluster.dispatch(0.0, 2.0) == 1
+    assert dispatch_all(cluster, 0.0, 2.0) == [1]
 
 
 def test_active_stays_in_id_order_after_release_and_launch():
@@ -79,7 +74,7 @@ def test_active_stays_in_id_order_after_release_and_launch():
     assert list(cluster.active) == [0, 2, 3]
     # vm0 is busy; vm2 and vm3 tie at zero outstanding and the lower id wins
     assert dispatch_all(cluster, 10.0, 2.0) == [0]
-    assert cluster.dispatch(10.0, 2.0) == 2
+    assert dispatch_all(cluster, 10.0, 2.0) == [2]
 
 
 def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
@@ -90,7 +85,7 @@ def test_dispatch_parks_on_idle_pending_vm_over_busy_ready_vms():
     cluster.launch_vm(0.0, initial=True)
     pending = cluster.launch_vm(0.0)
     assert dispatch_all(cluster, 10.0, 2.0, 2.0) == [0, 1]
-    assert cluster.dispatch(10.0, 2.0) == pending
+    assert dispatch_all(cluster, 10.0, 2.0) == [pending]
     # it waits for the VM to be ready, so its response misses the SLA
     vm = cluster.active[pending]
     ((start, _, ok),) = vm.jobs
@@ -364,7 +359,7 @@ def test_release_victim_prefers_idle_nearest_boundary():
     cluster.active[b].anchor = 100.0  # at t=250, 150s to boundary
     assert select_release_victim(cluster, 250.0) == a
     # a busy VM is not an idle candidate
-    assert cluster.dispatch(250.0, 2.0) == a
+    assert dispatch_all(cluster, 250.0, 2.0) == [a]
     assert select_release_victim(cluster, 250.0) == b
 
 
