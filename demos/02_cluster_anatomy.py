@@ -55,7 +55,7 @@ class LaunchOnce(Maintain):
 
 result = run_simulation(cfg, late, LaunchOnce(), 600.0)
 print(f"\nfleet after one launch decision: {result.vms_launched} VMs")
-print(f"window count {len(result.windows)}, VM cost {result.totals.vm_cost:.5f}")
+print(f"window count {len(result.windows)}, VM cycles charged {result.counts.cycles}")
 print("(the launched VM bills from its request time even while booting)")
 
 # --- 3. partial usage waste: release mid-cycle still pays the full cycle -----

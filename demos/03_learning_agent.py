@@ -43,5 +43,7 @@ print("\nlearned Q values (state, action -> value, visits):")
 for queued, idle, action, q, visits in policy.qtable.rows():
     print(f"  ({queued},{idle}) {action:8s} q={q:+.4f} visits={visits}")
 
+# the windows' utilities add up to the run's, as the report's totals do
+utility = sum(win.breakdown.utility for win in result.windows)
 total_debt = sum(rec.debt for rec in result.records)
-print(f"\naggregate utility {result.aggregate_utility:+.3f}, total debt {total_debt:+.4f}")
+print(f"\naggregate utility {utility:+.3f}, total debt {total_debt:+.4f}")

@@ -23,7 +23,7 @@ for label, report in (("debt-aware", debt_aware), ("voting", voting)):
         f"adaptations {t.adaptations}  wall {report.wall_clock:.1f}s"
     )
 
-summary = compare(debt_aware, voting)
+summary = compare(debt_aware.totals, voting.totals)
 print()
 for line in summary.lines("debt-aware", "voting"):
     print(line)

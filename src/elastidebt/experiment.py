@@ -184,11 +184,14 @@ def _run_on(
     result = run_simulation(config.sim, workload, policy, config.horizon, record_debt=record_debt)
     wall_clock = time.perf_counter() - started
 
+    # the one fold of a run's money: each total adds the windows in order
     rows: list[WindowRow] = []
-    cumulative = 0.0
-    total_debt = 0.0
+    cumulative = total_debt = revenue = penalty = vm_cost = 0.0
     for win in result.windows:
         cumulative += win.breakdown.utility
+        revenue += win.breakdown.revenue
+        penalty += win.breakdown.penalty
+        vm_cost += win.breakdown.vm_cost
         debt = win.record.debt if win.record is not None else 0.0
         total_debt += debt
         rows.append(
@@ -206,13 +209,14 @@ def _run_on(
             )
         )
 
-    counts = result.totals.counts
+    # request counts are the cluster's own reading, not a sum of the rows
+    counts = result.counts
     failed_fraction = counts.failures / counts.submitted if counts.submitted else 0.0
     totals = ReportTotals(
         aggregate_utility=cumulative,
-        revenue=result.totals.revenue,
-        penalty=result.totals.penalty,
-        total_cost=result.totals.vm_cost,
+        revenue=revenue,
+        penalty=penalty,
+        total_cost=vm_cost,
         total_debt=total_debt,
         submitted=counts.submitted,
         successes=counts.successes,
@@ -254,24 +258,23 @@ class ComparisonSummary:
         ]
 
 
-def compare(a: ExperimentReport, b: ExperimentReport) -> ComparisonSummary:
-    """Deltas of report A relative to report B (same workload family)."""
-    if a.totals.horizon != b.totals.horizon:
-        raise ValueError(
-            f"mismatched horizons: {a.totals.horizon} vs {b.totals.horizon}"
-        )
-    ua, ub = a.totals.aggregate_utility, b.totals.aggregate_utility
+def compare(a: ReportTotals, b: ReportTotals) -> ComparisonSummary:
+    """Deltas of run A's totals relative to run B's (same workload family):
+    a report's ``totals`` or a run directory's ``load_summary``."""
+    if a.horizon != b.horizon:
+        raise ValueError(f"mismatched horizons: {a.horizon} vs {b.horizon}")
+    ua, ub = a.aggregate_utility, b.aggregate_utility
     if ub != 0.0:
         pct = 100.0 * (ua - ub) / abs(ub)
     else:
         pct = 0.0 if ua == 0.0 else math.copysign(math.inf, ua)
-    mean_a = a.totals.total_debt / a.totals.adaptations if a.totals.adaptations else 0.0
-    mean_b = b.totals.total_debt / b.totals.adaptations if b.totals.adaptations else 0.0
+    mean_a = a.total_debt / a.adaptations if a.adaptations else 0.0
+    mean_b = b.total_debt / b.adaptations if b.adaptations else 0.0
     return ComparisonSummary(
         utility_delta=ua - ub,
         utility_delta_pct=pct,
-        failed_fraction_delta=a.totals.failed_fraction - b.totals.failed_fraction,
-        cost_delta=a.totals.total_cost - b.totals.total_cost,
+        failed_fraction_delta=a.failed_fraction - b.failed_fraction,
+        cost_delta=a.total_cost - b.total_cost,
         mean_debt_a=mean_a,
         mean_debt_b=mean_b,
     )
@@ -396,7 +399,11 @@ def load_qtable(path: str) -> QTable:
 
 
 def load_summary(out_dir: str) -> ReportTotals:
-    """Rehydrate the totals of a previously emitted run directory."""
+    """Rehydrate the totals of a previously emitted run directory.
+
+    The file holds the header and exactly one data row, whose numbers are
+    finite; anything else is reported with its line.
+    """
     path = os.path.join(out_dir, "summary.csv")
     columns = fields(ReportTotals)
     try:
@@ -408,23 +415,25 @@ def load_summary(out_dir: str) -> ReportTotals:
             if values is None:
                 raise ConfigError(f"{path}: summary has no data row")
             line = reader.line_num
+            if any(row for row in reader):
+                raise ConfigError(f"{path}:{reader.line_num}: summary has a second data row")
     except OSError as exc:
         raise ConfigError(f"cannot read summary {path}: {exc}") from exc
     if len(values) != len(columns):
         raise ConfigError(f"{path}:{line}: expected {len(columns)} columns, got {len(values)}")
     try:
-        return ReportTotals(*(_PARSERS[f.type](v) for f, v in zip(columns, values)))
+        parsed = [_PARSERS[f.type](v) for f, v in zip(columns, values)]
+        for f, x in zip(columns, parsed):
+            if f.type == "float" and not math.isfinite(x):
+                raise ValueError(f"{f.name} must be finite, got {x}")
+        return ReportTotals(*parsed)
     except ValueError as exc:
         raise ConfigError(f"{path}:{line}: bad summary value: {exc}") from exc
 
 
 def compare_dirs(dir_a: str, dir_b: str) -> ComparisonSummary:
     """Compare two emitted run directories via their summaries."""
-    ta = load_summary(dir_a)
-    tb = load_summary(dir_b)
-    a = ExperimentReport(rows=[], totals=ta, wall_clock=0.0)
-    b = ExperimentReport(rows=[], totals=tb, wall_clock=0.0)
-    return compare(a, b)
+    return compare(load_summary(dir_a), load_summary(dir_b))
 
 
 def paired_experiment(

@@ -436,12 +436,13 @@ class WindowMetrics:
 
 @dataclass
 class SimulationResult:
-    """Everything a run produced: windows, adaptation records and totals."""
+    """What a run measured: its windows, adaptation records and ``counts``,
+    the cluster's reading of the whole run with the bill closed at the
+    horizon.  The report adds up the run's money from the windows."""
 
     windows: list[WindowMetrics]
     records: list[AdaptationRecord]
-    totals: UtilityBreakdown
-    aggregate_utility: float
+    counts: WindowCounts
     in_flight_at_end: int
     vms_launched: int
     # the trace's read-only ``WorkloadTrace.requests`` view
@@ -523,7 +524,6 @@ class Simulation:
 
         windows: list[WindowMetrics] = []
         records: list[AdaptationRecord] = []
-        cumulative = 0.0
         idx = 0
         win_start = 0.0
         snap, marks = self._open_window(win_start)
@@ -543,7 +543,6 @@ class Simulation:
             counts = cluster.counts(t, close=final) - snap
             obs = self._observe(t, win_start, marks)
             breakdown = counts.utility(cfg)
-            cumulative += breakdown.utility
             # the cluster before this decision point's action, which the
             # pending adaptation's valuation forks as well; the horizon
             # takes no action
@@ -581,21 +580,10 @@ class Simulation:
             win_start = t
             snap, marks = self._open_window(t)
 
-        revenue = sum(w.breakdown.revenue for w in windows)
-        penalty = sum(w.breakdown.penalty for w in windows)
-        vm_cost = sum(w.breakdown.vm_cost for w in windows)
-        totals = UtilityBreakdown(
-            revenue=revenue,
-            penalty=penalty,
-            vm_cost=vm_cost,
-            utility=revenue - penalty - vm_cost,
-            counts=cluster.counts(horizon, close=True),
-        )
         return SimulationResult(
             windows=windows,
             records=records,
-            totals=totals,
-            aggregate_utility=cumulative,
+            counts=cluster.counts(horizon, close=True),
             in_flight_at_end=cluster.outstanding_requests(),
             vms_launched=cluster.next_vm_id,
             requests=trace.requests,

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import captured_checkpoints, direct_replays, dispatch_alone, make_trace
 from elastidebt.economics import AdaptationRecord, WindowCounts, counterfactual_ideal
+from elastidebt.experiment import ExperimentConfig, run_experiment
 from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, Level, StateKey, VotingPolicy
 from elastidebt.sim import Checkpoint, Cluster, SimConfig, run_simulation
 from elastidebt.workload import default_profile, generate_trace
@@ -145,21 +146,42 @@ def test_replay_does_not_perturb_primary_run():
     without = run_simulation(cfg, trace_b, VotingPolicy(), 1800.0, record_debt=False)
     assert [w.ready_vms for w in with_debt.windows] == [w.ready_vms for w in without.windows]
     assert [w.breakdown for w in with_debt.windows] == [w.breakdown for w in without.windows]
-    assert with_debt.aggregate_utility == without.aggregate_utility
+    assert with_debt.counts == without.counts
+    assert with_debt.in_flight_at_end == without.in_flight_at_end
 
 
 def test_window_utilities_sum_to_run_total():
-    cfg = SimConfig()
-    trace = generate_trace(default_profile(), 2400.0, seed=23)
-    result = run_simulation(cfg, trace, VotingPolicy(), 2400.0)
-    total = sum(w.breakdown.utility for w in result.windows)
-    assert total == pytest.approx(result.totals.utility, abs=1e-9)
-    assert result.totals.utility == (
-        result.totals.revenue - result.totals.penalty - result.totals.vm_cost
-    )
-    # cycle charges across windows match the whole-run billing exactly
-    window_cycle_cost = sum(w.breakdown.vm_cost for w in result.windows)
-    assert window_cycle_cost == pytest.approx(result.totals.vm_cost, abs=1e-9)
+    # the report's money totals are the in-order fold of its windows, bit
+    # for bit, under either policy and SLA mode
+    for policy in ("voting", "debt-aware"):
+        for mode in ("per_request", "floor"):
+            config = ExperimentConfig(
+                sim=SimConfig(sla_mode=mode),
+                profile=default_profile(),
+                policy=policy,
+                seed=23,
+                horizon=2400.0,
+            )
+            report = run_experiment(config)
+            t, result = report.totals, report.result
+            revenue = penalty = vm_cost = utility = 0.0
+            for win in result.windows:
+                revenue += win.breakdown.revenue
+                penalty += win.breakdown.penalty
+                vm_cost += win.breakdown.vm_cost
+                utility += win.breakdown.utility
+            assert (t.revenue, t.penalty, t.total_cost, t.aggregate_utility) == (
+                revenue,
+                penalty,
+                vm_cost,
+                utility,
+            )
+            assert t.aggregate_utility == report.rows[-1].cumulative_utility
+            assert t.aggregate_utility == pytest.approx(revenue - penalty - vm_cost, abs=1e-9)
+            # cycle charges across windows match the whole-run billing exactly
+            window_cycles = sum(w.breakdown.counts.cycles for w in result.windows)
+            assert window_cycles == result.counts.cycles
+            assert vm_cost == pytest.approx(config.sim.vm_cost_per_cycle * window_cycles, abs=1e-9)
 
 
 def test_debts_non_positive_and_zero_iff_action_maximal():

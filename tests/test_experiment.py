@@ -62,10 +62,6 @@ def totals_stub(utility, failed=0.0, cost=0.0, debt=0.0, adaptations=1, horizon=
     )
 
 
-def report_stub(**kwargs):
-    return ExperimentReport(rows=[], totals=totals_stub(**kwargs), wall_clock=0.0)
-
-
 # -- seeds ---------------------------------------------------------------------
 
 
@@ -323,7 +319,7 @@ def test_report_cumulative_matches_totals():
 
 
 def test_compare_identical_reports_is_all_zeros():
-    a = report_stub(utility=5.0)
+    a = totals_stub(utility=5.0)
     summary = compare(a, a)
     assert summary.utility_delta == 0.0
     assert summary.utility_delta_pct == 0.0
@@ -332,8 +328,8 @@ def test_compare_identical_reports_is_all_zeros():
 
 
 def test_compare_reproduces_headline_percentages():
-    a = report_stub(utility=573.55, failed=0.0286)
-    b = report_stub(utility=552.13, failed=0.0417)
+    a = totals_stub(utility=573.55, failed=0.0286)
+    b = totals_stub(utility=552.13, failed=0.0417)
     summary = compare(a, b)
     assert summary.utility_delta == pytest.approx(21.42)
     assert summary.utility_delta_pct == pytest.approx(3.879, abs=1e-3)
@@ -342,16 +338,16 @@ def test_compare_reproduces_headline_percentages():
 
 
 def test_compare_rejects_mismatched_horizons():
-    a = report_stub(utility=1.0, horizon=100.0)
-    b = report_stub(utility=1.0, horizon=200.0)
+    a = totals_stub(utility=1.0, horizon=100.0)
+    b = totals_stub(utility=1.0, horizon=200.0)
     with pytest.raises(ValueError, match="horizon"):
         compare(a, b)
 
 
 @pytest.mark.parametrize("ua, expected_pct", [(-1.5, -math.inf), (2.0, math.inf), (0.0, 0.0)])
 def test_compare_against_zero_baseline_keeps_the_sign(ua, expected_pct):
-    a = report_stub(utility=ua, debt=-0.6, adaptations=4)
-    b = report_stub(utility=0.0, debt=-0.3, adaptations=0)
+    a = totals_stub(utility=ua, debt=-0.6, adaptations=4)
+    b = totals_stub(utility=0.0, debt=-0.3, adaptations=0)
     summary = compare(a, b)
     assert summary.utility_delta == ua
     assert summary.utility_delta_pct == expected_pct
@@ -609,20 +605,62 @@ def test_cli_rejects_malformed_qtable(tmp_path, capsys, bad_row, line):
     assert f"{qtable}:{line}: bad qtable row" in capsys.readouterr().err
 
 
+def emitted_summaries(tmp_path):
+    """Two run directories holding only a stub summary.csv, and the second
+    one's header and data row."""
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    for out, utility in ((good, 1.0), (bad, 2.0)):
+        emit_csv(ExperimentReport(rows=[], totals=totals_stub(utility), wall_clock=0.0), str(out))
+    header, row = (bad / "summary.csv").read_text().splitlines()
+    return good, bad, header, row
+
+
 @pytest.mark.parametrize("cut", [1, 13])
 def test_cli_compare_rejects_short_summary_row(tmp_path, capsys, cut):
-    good, bad = tmp_path / "good", tmp_path / "bad"
-    emit_csv(report_stub(utility=1.0), str(good))
-    emit_csv(report_stub(utility=2.0), str(bad))
-    header, row = (bad / "summary.csv").read_text().splitlines()
+    good, bad, header, row = emitted_summaries(tmp_path)
     (bad / "summary.csv").write_text(header + "\n" + ",".join(row.split(",")[:cut]) + "\n")
     assert cli_main(["compare", str(good), str(bad)]) == 1
     err = capsys.readouterr().err
     assert f"{bad / 'summary.csv'}:2: expected 14 columns, got {cut}" in err
 
 
+@pytest.mark.parametrize(
+    "gap, line", [pytest.param("", 3, id="adjacent"), pytest.param("\n", 4, id="after-blank-line")]
+)
+def test_cli_compare_rejects_second_summary_row(tmp_path, capsys, gap, line):
+    good, bad, header, row = emitted_summaries(tmp_path)
+    other = row.replace("2.000000", "9.000000", 1)
+    (bad / "summary.csv").write_text(f"{header}\n{row}\n{gap}{other}\n")
+    assert cli_main(["compare", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad / 'summary.csv'}:{line}: summary has a second data row" in captured.err
+
+
+def test_load_summary_ignores_trailing_blank_lines(tmp_path):
+    _, bad, header, row = emitted_summaries(tmp_path)
+    (bad / "summary.csv").write_text(f"{header}\n{row}\n\n")
+    assert load_summary(str(bad)) == totals_stub(2.0)
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("aggregate_utility", "nan"), ("total_cost", "inf"), ("failed_fraction", "-inf")],
+)
+def test_cli_compare_rejects_non_finite_summary_value(tmp_path, capsys, column, value):
+    good, bad, header, row = emitted_summaries(tmp_path)
+    cells = row.split(",")
+    cells[header.split(",").index(column)] = value
+    (bad / "summary.csv").write_text(header + "\n" + ",".join(cells) + "\n")
+    assert cli_main(["compare", str(good), str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{bad / 'summary.csv'}:2: bad summary value: {column} must be finite" in captured.err
+
+
 def test_summary_columns_follow_report_totals(tmp_path):
-    report = report_stub(utility=1.25, failed=0.125, cost=0.5, debt=-0.25, horizon=900.0)
+    totals = totals_stub(utility=1.25, failed=0.125, cost=0.5, debt=-0.25, horizon=900.0)
+    report = ExperimentReport(rows=[], totals=totals, wall_clock=0.0)
     emit_csv(report, str(tmp_path))
     assert (tmp_path / "summary.csv").read_text() == (
         "policy,seed,horizon,aggregate_utility,revenue,penalty,total_cost,total_debt,"

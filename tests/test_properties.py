@@ -23,6 +23,7 @@ from conftest import (
     recorded_jobs,
     reference_advance,
 )
+from elastidebt.economics import WindowCounts
 from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingParams, VotingPolicy
 from elastidebt.sim import (
     Checkpoint,
@@ -286,10 +287,11 @@ def test_full_run_invariants(run):
     windows = result.windows
     assert windows[0].start == 0.0 and windows[-1].end == horizon
     assert all(prev.end == cur.start for prev, cur in zip(windows, windows[1:]))
-    t = result.totals.counts
+    t = result.counts
     assert t.submitted == len(arrivals)
     assert t.successes + t.failures + result.in_flight_at_end == t.submitted
-    assert sum(w.breakdown.utility for w in windows) == result.aggregate_utility
+    # the run's counts are its windows' counts added up, cycles included
+    assert sum((w.breakdown.counts for w in windows), WindowCounts(0, 0, 0, 0)) == t
     # each window pays the cycles whose boundaries it passed; the last one
     # closes the bill and pays every started cycle
     vms = sim.cluster.vms.values()
