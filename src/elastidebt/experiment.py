@@ -85,7 +85,7 @@ def load_config(path: str) -> ExperimentConfig:
     owners.update(policy=cfg, seed=cfg, horizon=cfg)
     paths = {"trace": "trace_path", "output_dir": "output_dir", "qtable_in": "qtable_in"}
 
-    def assign(key: str, value: str) -> None:
+    def assign(key: str, value: str) -> str:
         if key in paths:
             setattr(cfg, paths[key], os.path.join(base, value))
         elif key == "profile":
@@ -93,6 +93,7 @@ def load_config(path: str) -> ExperimentConfig:
         else:
             owner = owners[key]
             setattr(owner, key, type(getattr(owner, key))(value))
+        return key
 
     read_key_values(path, "config", ConfigError, assign)
     return cfg

@@ -11,7 +11,8 @@ from __future__ import annotations
 import io
 import math
 import random
-from collections.abc import Sequence
+from bisect import bisect_left
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, count, islice
@@ -23,6 +24,9 @@ DEFAULT_WORK_MI = 2.0
 # time step used to integrate rate curves and to skip through zero-rate spans
 _GRID_DT = 0.05
 _ZERO_RATE_SCAN = 1.0
+
+# lines per chunk of serialize_trace's text
+_SERIALIZE_CHUNK = 8192
 
 
 class TraceParseError(ValueError):
@@ -114,6 +118,11 @@ class Segment:
     amplitude: float = 0.0
     period: float = 3600.0
 
+    def rate(self, t: float) -> float:
+        """The rate this segment's curve gives at absolute time t."""
+        rate = self.base_rate + self.amplitude * math.sin(math.tau * t / self.period)
+        return rate if rate > 0.0 else 0.0
+
 
 @dataclass
 class RateProfile:
@@ -124,11 +133,35 @@ class RateProfile:
     work_mi: float = DEFAULT_WORK_MI
 
     def rate_at(self, t: float) -> float:
+        """The instantaneous rate at absolute time t.
+
+        The first listed segment with ``start <= t < end`` gives the rate,
+        and the last segment also holds t equal to its end.  A t that no
+        segment holds has rate 0.
+        """
+        seg, _ = self._span_at(t)
+        return 0.0 if seg is None else seg.rate(t)
+
+    def _span_at(self, t: float) -> tuple[Segment | None, float]:
+        """The segment ``rate_at(t)`` reads (None for none) and the time up
+        to which it keeps reading it: the same segment holds every t' with
+        ``t <= t' < until``, and only t itself when ``until == t``.
+
+        ``validate`` lets neighbours overlap or leave a gap within
+        ``math.isclose``, so the span also ends where an earlier-listed
+        segment starts.  ``(None, inf)``: t is past every segment, and no
+        later time has a positive rate.
+        """
+        until = math.inf
+        last = self.segments[-1]
         for seg in self.segments:
-            if seg.start <= t < seg.end or (t == seg.end and seg is self.segments[-1]):
-                raw = seg.base_rate + seg.amplitude * math.sin(2.0 * math.pi * t / seg.period)
-                return max(0.0, raw)
-        return 0.0
+            if seg.start <= t < seg.end:
+                return seg, min(until, seg.end)
+            if t == seg.end and seg is last:
+                return seg, t
+            if t < seg.start:
+                until = min(until, seg.start)
+        return None, until
 
     def validate(self) -> None:
         # range checks are written so that NaN fails them
@@ -202,7 +235,14 @@ def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float
     step = duration / last
     grid = [i * step for i in range(last)]
     grid.append(float(duration))
-    rates = [profile.rate_at(t) for t in grid]
+    # the grid ascends, so each segment's span is read once, as a slice
+    rates: list[float] = []
+    i = 0
+    while i < n_points:
+        seg, until = profile._span_at(grid[i])
+        j = max(i + 1, bisect_left(grid, until, i))
+        rates += [0.0] * (j - i) if seg is None else map(seg.rate, grid[i:j])
+        i = j
     # trapezoidal cumulative intensity; exact for piecewise-constant rates
     areas = (
         (r1 + r0) * 0.5 * (t1 - t0) for r0, r1, t0, t1 in zip(rates, rates[1:], grid, grid[1:])
@@ -227,17 +267,26 @@ def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float
 
 
 def _poisson_arrivals(profile: RateProfile, duration: float, seed: int) -> list[float]:
-    rng = random.Random(seed)
+    draw = random.Random(seed).expovariate
     times: list[float] = []
     t = 0.0
     while t <= duration:
-        r = profile.rate_at(t)
-        if r <= 0.0:
-            t += _ZERO_RATE_SCAN
-            continue
-        t += rng.expovariate(r)
-        if t <= duration:
-            times.append(t)
+        seg, until = profile._span_at(t)
+        if seg is None and until == math.inf:
+            break  # past every segment: no later rate is positive
+        rate = (lambda _: 0.0) if seg is None else seg.rate
+        end = min(until, duration)
+        # the rate at t is read at least once: a span may hold t alone
+        while True:
+            r = rate(t)
+            if r > 0.0:
+                t += draw(r)
+                if t <= duration:
+                    times.append(t)
+            else:
+                t += _ZERO_RATE_SCAN
+            if not t < end:
+                break
     return times
 
 
@@ -290,21 +339,32 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
 
 
 def serialize_trace(trace: WorkloadTrace) -> str:
-    """Inverse of :func:`parse_trace`: one ``arrival work`` line per request."""
-    return "".join([f"{a!r} {w!r}\n" for a, w in zip(trace.arrivals, trace.work)])
+    """Inverse of :func:`parse_trace`: one ``arrival work`` line per request.
+
+    Lines are joined ``_SERIALIZE_CHUNK`` at a time and the chunks once, so
+    the text is built with one chunk's line objects alive, not one per line.
+    """
+    arrivals, work = trace.arrivals, trace.work
+    chunks = []
+    for i in range(0, len(arrivals), _SERIALIZE_CHUNK):
+        pairs = zip(arrivals[i : i + _SERIALIZE_CHUNK], work[i : i + _SERIALIZE_CHUNK])
+        chunks.append("".join([f"{a!r} {w!r}\n" for a, w in pairs]))
+    return "".join(chunks)
 
 
 def read_key_values(
-    path: str, what: str, error: type[ValueError], assign: Callable[[str, str], None]
+    path: str, what: str, error: type[ValueError], assign: Callable[[str, str], Hashable]
 ) -> None:
     """Read a flat ``key = value`` file, passing each entry to ``assign(key,
     value)`` in file order.  Blank lines and ``#`` comments are skipped.
 
-    A line without ``=``, a repeated key, a key ``assign`` does not know (it
-    raises ``KeyError``) and a value it rejects (``ValueError``) raise
-    ``error`` with the file and line; so does a file that cannot be read.
+    ``assign`` returns the setting it assigned; two lines that assign one
+    setting are a repeat, however their keys are spelled.  A line without
+    ``=``, a repeat, a key ``assign`` does not know (it raises ``KeyError``)
+    and a value it rejects (``ValueError``) raise ``error`` with the file
+    and line; so does a file that cannot be read.
     """
-    seen: dict[str, int] = {}
+    seen: dict[Hashable, int] = {}
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -316,15 +376,15 @@ def read_key_values(
                 key = key.strip()
                 if not eq:
                     raise error(f"{where}: expected 'key = value'")
-                if key in seen:
-                    raise error(f"{where}: {key!r} repeats line {seen[key]}")
-                seen[key] = lineno
                 try:
-                    assign(key, value.strip())
+                    setting = assign(key, value.strip())
                 except KeyError:
                     raise error(f"{where}: unknown key {key!r}") from None
                 except ValueError as exc:
                     raise error(f"{where}: bad value for {key!r}: {exc}") from exc
+                if setting in seen:
+                    raise error(f"{where}: {key!r} repeats line {seen[setting]}")
+                seen[setting] = lineno
     except OSError as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
@@ -342,7 +402,7 @@ def load_profile(path: str) -> RateProfile:
     settings: dict = {}
     seg_fields: dict[int, dict[str, float]] = {}
 
-    def assign(key: str, value: str) -> None:
+    def assign(key: str, value: str) -> Hashable:
         if key == "arrival_mode":
             settings[key] = value
         elif key == "work_mi":
@@ -351,7 +411,11 @@ def load_profile(path: str) -> RateProfile:
             parts = key.split(".")
             if len(parts) != 3 or parts[0] != "segment" or parts[2] not in _SEGMENT_KEYS:
                 raise KeyError(key)
-            seg_fields.setdefault(int(parts[1]), {})[parts[2]] = float(value)
+            # segment.1 and segment.01 name one segment
+            index = int(parts[1])
+            seg_fields.setdefault(index, {})[parts[2]] = float(value)
+            return index, parts[2]
+        return key
 
     read_key_values(path, "profile", ProfileError, assign)
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import copy
 import math
+import random
 from bisect import bisect_right
 from collections import deque
 
@@ -12,7 +13,7 @@ import pytest
 
 from elastidebt.policies import ACTION_ORDER, Action
 from elastidebt.sim import Checkpoint, Cluster, ClusterObservation, SimConfig
-from elastidebt.workload import WorkloadTrace
+from elastidebt.workload import RateProfile, WorkloadTrace
 
 
 def make_obs(
@@ -133,6 +134,34 @@ def reference_advance(cluster, until: float, trace: WorkloadTrace, idx: int) -> 
     for vm in cluster.vms.values():
         reference_settle(cluster, vm, until)
     return end
+
+
+def reference_rate_at(profile: RateProfile, t: float) -> float:
+    """The rate at ``t`` by a scan of the segment list from its start: the
+    first segment with ``start <= t < end``, the last one also at its end."""
+    for seg in profile.segments:
+        if seg.start <= t < seg.end or (t == seg.end and seg is profile.segments[-1]):
+            raw = seg.base_rate + seg.amplitude * math.sin(2.0 * math.pi * t / seg.period)
+            return max(0.0, raw)
+    return 0.0
+
+
+def reference_poisson_arrivals(profile: RateProfile, duration: float, seed: int) -> list[float]:
+    """Poisson arrivals with the rate looked up afresh at every step: each
+    gap is drawn at the rate where it starts, and a zero rate steps 1 s,
+    up to ``duration`` however far past the profile that is."""
+    rng = random.Random(seed)
+    times = []
+    t = 0.0
+    while t <= duration:
+        r = reference_rate_at(profile, t)
+        if r <= 0.0:
+            t += 1.0
+            continue
+        t += rng.expovariate(r)
+        if t <= duration:
+            times.append(t)
+    return times
 
 
 def oracle_cycles(vm, t: float, cycle: float, close: bool = False) -> int:

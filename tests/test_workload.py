@@ -4,13 +4,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import FixedPolicy
+from conftest import FixedPolicy, reference_poisson_arrivals, reference_rate_at
 import elastidebt
 from elastidebt import workload
 from elastidebt.policies import DebtAwarePolicy
@@ -86,7 +87,7 @@ def reference_deterministic_arrivals(profile, duration):
     the trapezoidal cumulative intensity and np.interp at 1..n."""
     n_points = int(math.ceil(duration / workload._GRID_DT)) + 1
     grid = np.linspace(0.0, duration, n_points)
-    rates = np.array([profile.rate_at(float(t)) for t in grid])
+    rates = np.array([reference_rate_at(profile, float(t)) for t in grid])
     cum = np.concatenate(([0.0], np.cumsum((rates[1:] + rates[:-1]) * 0.5 * np.diff(grid))))
     n = int(math.floor(cum[-1] + 1e-9))
     if n == 0:
@@ -169,11 +170,111 @@ def test_deterministic_default_profile_matches_numpy_reference():
     assert times == reference_deterministic_arrivals(profile, 21600.0)
 
 
-def run_python(code, tmp_path):
+@st.composite
+def drawn_profiles(draw):
+    """Profiles as ``validate`` admits them: neighbours that meet within
+    ``math.isclose`` (gaps and overlaps), tiny segments that a neighbour's
+    overlap can cover, zero-rate troughs, a first segment that may start
+    after 0, and, at times, the last segment object listed twice."""
+    t = draw(st.one_of(st.just(0.0), st.integers(1, 40).map(float), st.floats(0.0, 150.0)))
+    segments = []
+    for _ in range(draw(st.integers(1, 5))):
+        length = draw(
+            st.one_of(
+                st.floats(0.05, 30.0),
+                st.integers(1, 20).map(float),
+                # below isclose's tolerance at t
+                st.floats(1e-12, 2e-9).map(lambda f: f * max(t, 1.0)),
+            )
+        )
+        end = t + length
+        if not t < end:
+            reject()
+        rate = st.one_of(st.just(0.0), st.sampled_from([2.0, 20.0]), st.floats(0.0, 30.0))
+        # an amplitude above the base rate clips troughs to 0
+        amplitude = st.one_of(st.just(0.0), st.floats(0.0, 30.0))
+        segments.append(Segment(t, end, draw(rate), draw(amplitude), draw(st.floats(1.0, 120.0))))
+        shift = draw(st.one_of(st.just(0.0), st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0)))
+        t = end + shift * 0.99e-9 * end
+    profile = RateProfile(segments)
+    try:
+        profile.validate()
+    except ProfileError:
+        reject()
+    if draw(st.booleans()):
+        twice = RateProfile(segments + [segments[-1]])
+        try:
+            twice.validate()
+            profile = twice
+        except ProfileError:
+            pass
+    return profile
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(drawn_profiles(), st.data())
+def test_generators_and_rate_at_match_the_segment_scan(profile, data):
+    segs = profile.segments
+    end = segs[-1].end
+    duration = data.draw(
+        st.one_of(st.floats(0.0, end, exclude_min=True), st.just(end), st.floats(end, end + 30.0)),
+        "duration",
+    )
+    seed = data.draw(st.integers(0, 2**32), "seed")
+    assert workload._poisson_arrivals(profile, duration, seed) == reference_poisson_arrivals(
+        profile, duration, seed
+    )
+    assert workload._deterministic_arrivals(profile, duration) == (
+        reference_deterministic_arrivals(profile, duration)
+    )
+    edges = [x for seg in segs for x in (seg.start, seg.end)]
+    times = edges + [math.nextafter(x, d) for x in edges for d in (-math.inf, math.inf)]
+    times += data.draw(st.lists(st.floats(0.0, end + 2.0), max_size=20), "times")
+    assert [profile.rate_at(t) for t in times] == [reference_rate_at(profile, t) for t in times]
+    # a span's segment gives the scan's rate at every probe it covers
+    for t in times:
+        seg, until = profile._span_at(t)
+        covered = [u for u in times if t <= u < until] + [t]
+        assert [0.0 if seg is None else seg.rate(u) for u in covered] == [
+            reference_rate_at(profile, u) for u in covered
+        ]
+
+
+def test_generation_stops_at_the_profile_end(tmp_path):
+    # past its last segment no rate is positive: a billion seconds more
+    # adds nothing and costs nothing (the subprocess times out otherwise)
+    proc = run_python(
+        "from elastidebt.workload import default_profile, generate_trace\n"
+        "for seed in (1, 2):\n"
+        "    long = generate_trace(default_profile(), 21600.0 + 1e9, seed)\n"
+        "    assert long == generate_trace(default_profile(), 21600.0 + 10.0, seed), seed\n",
+        tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_serialize_holds_one_chunk_beside_its_output():
+    trace = generate_trace(default_profile(), 3600.0, seed=1)
+    tracemalloc.start()
+    try:
+        text = serialize_trace(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text)
+
+
+def run_python(code, tmp_path, timeout=None):
     src = os.path.dirname(os.path.dirname(elastidebt.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
-        [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", code],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
 
 
@@ -462,6 +563,17 @@ def test_load_profile_names_file_and_line(tmp_path, text, message):
     with pytest.raises(ProfileError) as info:
         load_profile(str(path))
     assert str(info.value).startswith(f"{path}{message}")
+
+
+@pytest.mark.parametrize("index", ["01", "+1", " 1", "0_1"])
+def test_load_profile_rejects_a_field_spelled_twice(tmp_path, index):
+    # int() reads all of these as segment 1
+    path = tmp_path / "p.cfg"
+    text = "segment.1.start = 0\nsegment.1.end = 9\nsegment.1.base_rate = 5\n"
+    path.write_text(f"{text}# again\nsegment.{index}.base_rate = 50\n")
+    with pytest.raises(ProfileError) as info:
+        load_profile(str(path))
+    assert str(info.value) == f"{path}:5: 'segment.{index}.base_rate' repeats line 3"
 
 
 def test_load_profile_wraps_unreadable_file(tmp_path):
