@@ -390,6 +390,9 @@ def test_emit_csv_single_row_read_back(tmp_path):
     assert (tmp_path / "penalties.csv").read_text() == (
         "time,submitted,successes,failures,penalty\n120.000,10,9,1,0.002000\n"
     )
+    assert (tmp_path / "utility.csv").read_text() == (
+        "time,window_utility,cumulative_utility\n120.000,1.250000,1.250000\n"
+    )
     back = load_summary(str(tmp_path))
     assert back.aggregate_utility == 1.25
     assert back.policy == "stub"
@@ -451,6 +454,24 @@ def test_load_qtable_rejects_repeated_state_action(tmp_path):
     with pytest.raises(ConfigError) as info:
         load_qtable(str(path))
     assert str(info.value) == f"{path}:4: bad qtable row: (low, low) launch repeats line 2"
+
+
+def test_load_qtable_rejects_another_header(tmp_path):
+    path = tmp_path / "qtable.csv"
+    path.write_text("queued_level,billing_idle_level,action,value,visits\nlow,low,launch,-0.5,2\n")
+    with pytest.raises(ConfigError) as info:
+        load_qtable(str(path))
+    assert str(info.value) == f"{path}: not a qtable csv"
+
+
+def test_unreadable_run_files_are_config_errors(tmp_path):
+    missing = tmp_path / "missing"
+    with pytest.raises(ConfigError) as info:
+        load_qtable(str(missing / "qtable.csv"))
+    assert str(info.value).startswith(f"cannot read qtable {missing / 'qtable.csv'}: ")
+    with pytest.raises(ConfigError) as info:
+        load_summary(str(missing))
+    assert str(info.value).startswith(f"cannot read summary {missing / 'summary.csv'}: ")
 
 
 # -- cli ---------------------------------------------------------------------------
@@ -641,6 +662,22 @@ def test_load_summary_ignores_trailing_blank_lines(tmp_path):
     _, bad, header, row = emitted_summaries(tmp_path)
     (bad / "summary.csv").write_text(f"{header}\n{row}\n\n")
     assert load_summary(str(bad)) == totals_stub(2.0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(lambda header, row: "", id="empty"),
+        pytest.param(lambda header, row: f"{header.replace('seed', 'run')}\n{row}\n", id="renamed"),
+        pytest.param(lambda header, row: f"{row}\n", id="no-header"),
+    ],
+)
+def test_load_summary_rejects_another_header(tmp_path, text):
+    _, bad, header, row = emitted_summaries(tmp_path)
+    (bad / "summary.csv").write_text(text(header, row))
+    with pytest.raises(ConfigError) as info:
+        load_summary(str(bad))
+    assert str(info.value) == f"{bad / 'summary.csv'}: unexpected summary header"
 
 
 @pytest.mark.parametrize(
