@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .experiment import ConfigError, compare_dirs, emit_csv, load_config, run_experiment
+from .experiment import ConfigError, compare, emit_csv, load_config, load_summary, run_experiment
 from .workload import generate_trace, load_profile, serialize_trace
 
 
@@ -69,7 +69,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    summary = compare_dirs(args.dir_a, args.dir_b)
+    summary = compare(load_summary(args.dir_a), load_summary(args.dir_b))
     for line in summary.lines(label_a=args.dir_a, label_b=args.dir_b):
         print(line)
     return 0

@@ -20,6 +20,7 @@ from .policies import (
     LearningParams,
     Level,
     QTable,
+    StateKey,
     VotingParams,
     VotingPolicy,
 )
@@ -103,7 +104,7 @@ def load_config(path: str) -> ExperimentConfig:
 class WindowRow:
     """One report row per monitoring window."""
 
-    time: float
+    time: float = field(metadata={"decimals": 3})
     ready_vms: int
     ideal_vms: int
     submitted: int
@@ -283,18 +284,21 @@ def compare(a: ReportTotals, b: ReportTotals) -> ComparisonSummary:
 
 # -- CSV emission -----------------------------------------------------------
 
+# each window file: the WindowRow columns written after time
+_WINDOW_FILES = {
+    "provisioning.csv": ("ready_vms", "ideal_vms"),
+    "penalties.csv": ("submitted", "successes", "failures", "penalty"),
+    "debt.csv": ("debt",),
+    "utility.csv": ("window_utility", "cumulative_utility"),
+}
 _QTABLE_HEADER = ["queued_level", "billing_idle_level", "action", "q", "visits"]
 # summary.csv cells are parsed by the annotated type of their field
 _PARSERS = {"str": str, "int": int, "float": float}
 
 
-def _money(x: float) -> str:
-    return f"{x:.6f}"
-
-
-def _summary_cell(f, value) -> str:
-    """A ReportTotals value as written to summary.csv: floats to six
-    decimals unless the field says otherwise."""
+def _cell(f, value) -> str:
+    """A field's value as written to the CSVs: floats to the field's
+    ``decimals`` (six unless it says otherwise), anything else by str."""
     if f.type == "float":
         return f"{value:.{f.metadata.get('decimals', 6)}f}"
     return str(value)
@@ -304,13 +308,13 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
     """Write the report's CSV files into ``out_dir`` (created if missing).
 
     Emits provisioning.csv, penalties.csv, debt.csv, utility.csv,
-    summary.csv and, for learning runs, qtable.csv.  Money columns use six
-    decimal places and files end lines with LF.
+    summary.csv and, for learning runs, qtable.csv.  Times and horizons
+    use three decimal places, other floats six, and files end lines with LF.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
 
-    def write(name: str, header: list[str], rows: list[list[str]]) -> None:
+    def write(name: str, header: list[str], rows) -> None:
         path = os.path.join(out_dir, name)
         try:
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -321,32 +325,13 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
             raise OSError(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
-    write(
-        "provisioning.csv",
-        ["time", "ready_vms", "ideal_vms"],
-        [[f"{r.time:.3f}", str(r.ready_vms), str(r.ideal_vms)] for r in report.rows],
-    )
-    write(
-        "penalties.csv",
-        ["time", "submitted", "successes", "failures", "penalty"],
-        [
-            [f"{r.time:.3f}", str(r.submitted), str(r.successes), str(r.failures), _money(r.penalty)]
-            for r in report.rows
-        ],
-    )
-    write(
-        "debt.csv",
-        ["time", "debt"],
-        [[f"{r.time:.3f}", _money(r.debt)] for r in report.rows],
-    )
-    write(
-        "utility.csv",
-        ["time", "window_utility", "cumulative_utility"],
-        [
-            [f"{r.time:.3f}", _money(r.window_utility), _money(r.cumulative_utility)]
-            for r in report.rows
-        ],
-    )
+    def table(name: str, columns, records) -> None:
+        rows = ([_cell(f, getattr(r, f.name)) for f in columns] for r in records)
+        write(name, [f.name for f in columns], rows)
+
+    window = {f.name: f for f in fields(WindowRow)}
+    for name, names in _WINDOW_FILES.items():
+        table(name, [window[n] for n in ("time", *names)], report.rows)
     if report.qtable_rows is not None:
         # full precision so a warm start restores the table exactly
         write(
@@ -354,13 +339,22 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
             _QTABLE_HEADER,
             [[q, i, a, repr(v), str(n)] for q, i, a, v, n in report.qtable_rows],
         )
-    columns = fields(ReportTotals)
-    write(
-        "summary.csv",
-        [f.name for f in columns],
-        [[_summary_cell(f, getattr(report.totals, f.name)) for f in columns]],
-    )
+    table("summary.csv", fields(ReportTotals), [report.totals])
     return written
+
+
+def _read_csv(path: str, kind: str, header: list[str], bad: str) -> list[tuple[int, list[str]]]:
+    """The data rows of a CSV whose first row must be ``header`` (else the
+    ConfigError ``bad``), each with its line number; an unreadable file is a
+    ConfigError naming ``kind``."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != header:
+                raise ConfigError(f"{path}: {bad}")
+            return [(reader.line_num, row) for row in reader]
+    except OSError as exc:
+        raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
 
 
 def load_qtable(path: str) -> QTable:
@@ -369,57 +363,43 @@ def load_qtable(path: str) -> QTable:
     Every row names known levels and a known action, and each (state,
     action) pair appears once; a bad row is reported with its line.
     """
-    rows = []
-    seen: dict[tuple[str, str, str], int] = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != _QTABLE_HEADER:
-                raise ConfigError(f"{path}: not a qtable csv")
-            for row in reader:
-                line = reader.line_num
-                try:
-                    queued, idle, action, q, visits = row
-                    Level(queued), Level(idle), Action(action)  # unknown names raise
-                    q, visits = float(q), int(visits)
-                    if not math.isfinite(q) or visits < 0:
-                        raise ValueError("q must be finite and visits non-negative")
-                except ValueError as exc:
-                    raise ConfigError(f"{path}:{line}: bad qtable row: {exc}") from exc
-                key = (queued, idle, action)
-                if key in seen:
-                    raise ConfigError(
-                        f"{path}:{line}: bad qtable row: ({queued}, {idle}) {action}"
-                        f" repeats line {seen[key]}"
-                    )
-                seen[key] = line
-                rows.append((queued, idle, action, q, visits))
-    except OSError as exc:
-        raise ConfigError(f"cannot read qtable {path}: {exc}") from exc
-    return QTable.from_rows(rows)
+    table = QTable()
+    seen: dict[tuple[StateKey, Action], int] = {}
+    for line, row in _read_csv(path, "qtable", _QTABLE_HEADER, "not a qtable csv"):
+        try:
+            queued, idle, action, q, visits = row
+            key = (StateKey(Level(queued), Level(idle)), Action(action))  # unknown names raise
+            q, visits = float(q), int(visits)
+            if not math.isfinite(q) or visits < 0:
+                raise ValueError("q must be finite and visits non-negative")
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{line}: bad qtable row: {exc}") from exc
+        if key in seen:
+            raise ConfigError(
+                f"{path}:{line}: bad qtable row: ({queued}, {idle}) {action}"
+                f" repeats line {seen[key]}"
+            )
+        seen[key] = line
+        table.values[key] = q
+        table.visits[key] = visits
+    return table
 
 
 def load_summary(out_dir: str) -> ReportTotals:
     """Rehydrate the totals of a previously emitted run directory.
 
     The file holds the header and exactly one data row, whose numbers are
-    finite; anything else is reported with its line.
+    finite, and blank lines; anything else is reported with its line.
     """
     path = os.path.join(out_dir, "summary.csv")
     columns = fields(ReportTotals)
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            if next(reader, None) != [f.name for f in columns]:
-                raise ConfigError(f"{path}: unexpected summary header")
-            values = next(reader, None)
-            if values is None:
-                raise ConfigError(f"{path}: summary has no data row")
-            line = reader.line_num
-            if any(row for row in reader):
-                raise ConfigError(f"{path}:{reader.line_num}: summary has a second data row")
-    except OSError as exc:
-        raise ConfigError(f"cannot read summary {path}: {exc}") from exc
+    header = [f.name for f in columns]
+    rows = [lr for lr in _read_csv(path, "summary", header, "unexpected summary header") if lr[1]]
+    if not rows:
+        raise ConfigError(f"{path}: summary has no data row")
+    (line, values), *more = rows
+    if more:
+        raise ConfigError(f"{path}:{more[0][0]}: summary has a second data row")
     if len(values) != len(columns):
         raise ConfigError(f"{path}:{line}: expected {len(columns)} columns, got {len(values)}")
     try:
@@ -430,11 +410,6 @@ def load_summary(out_dir: str) -> ReportTotals:
         return ReportTotals(*parsed)
     except ValueError as exc:
         raise ConfigError(f"{path}:{line}: bad summary value: {exc}") from exc
-
-
-def compare_dirs(dir_a: str, dir_b: str) -> ComparisonSummary:
-    """Compare two emitted run directories via their summaries."""
-    return compare(load_summary(dir_a), load_summary(dir_b))
 
 
 def paired_experiment(

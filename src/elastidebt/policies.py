@@ -135,15 +135,6 @@ class QTable:
             for s, a in ordered
         ]
 
-    @classmethod
-    def from_rows(cls, rows: list[tuple[str, str, str, float, int]]) -> "QTable":
-        table = cls()
-        for queued, idle, action, q, visits in rows:
-            key = (StateKey(Level(queued), Level(idle)), Action(action))
-            table.values[key] = float(q)
-            table.visits[key] = int(visits)
-        return table
-
 
 def discretize_state(obs) -> StateKey:
     """Map the two observed fractions onto the 9-cell state grid."""

@@ -230,15 +230,19 @@ def generate_trace(profile: RateProfile, duration: float, seed: int) -> Workload
 
 
 def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float]:
-    n_points = int(math.ceil(duration / _GRID_DT)) + 1
-    last = n_points - 1
+    last = int(math.ceil(duration / _GRID_DT))
     step = duration / last
-    grid = [i * step for i in range(last)]
-    grid.append(float(duration))
+    # every rate past the profile's end is 0 and cum is flat there, so the grid
+    # stops at the first point past the end, the last whose trapezoid adds area
+    end = max(seg.end for seg in profile.segments)
+    first = int(max(0.0, min(end, duration)) / step)  # no point before it is past end
+    top = next((i for i in range(first, last) if i * step > end), last)
+    grid = [i * step for i in range(top)]
+    grid.append(float(duration) if top == last else top * step)
     # the grid ascends, so each segment's span is read once, as a slice
     rates: list[float] = []
     i = 0
-    while i < n_points:
+    while i <= top:
         seg, until = profile._span_at(grid[i])
         j = max(i + 1, bisect_left(grid, until, i))
         rates += [0.0] * (j - i) if seg is None else map(seg.rate, grid[i:j])
@@ -250,15 +254,15 @@ def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float
     cum = list(accumulate(areas, initial=0.0))
     # arrival k is where cum crosses k, interpolated between the last grid
     # point j with cum[j] <= k and the next (an exact hit gives grid[j]); a
-    # flat (zero-rate) span resolves to its last point.  The targets ascend,
-    # so one forward walk finds every j.
+    # flat (zero-rate) span resolves to its last point, the tail past the
+    # grid to the duration.  The targets ascend, so one walk finds every j.
     times: list[float] = []
     j = 0
     for k in map(float, range(1, int(math.floor(cum[-1] + 1e-9)) + 1)):
-        while j < last and cum[j + 1] <= k:
+        while j < top and cum[j + 1] <= k:
             j += 1
-        if j == last:
-            t = grid[j]
+        if j == top:
+            t = float(duration)
         else:
             t = (grid[j + 1] - grid[j]) / (cum[j + 1] - cum[j]) * (k - cum[j]) + grid[j]
         if t <= duration:

@@ -664,6 +664,21 @@ def test_load_summary_ignores_trailing_blank_lines(tmp_path):
     assert load_summary(str(bad)) == totals_stub(2.0)
 
 
+def test_load_summary_ignores_a_blank_line_before_its_row(tmp_path):
+    _, bad, header, row = emitted_summaries(tmp_path)
+    (bad / "summary.csv").write_text(f"{header}\n\n{row}\n\n")
+    assert load_summary(str(bad)) == totals_stub(2.0)
+
+
+@pytest.mark.parametrize("blank", ["", "\n", "\n\n"], ids=["no-blank", "one-blank", "two-blanks"])
+def test_load_summary_without_a_data_row(tmp_path, blank):
+    _, bad, header, _ = emitted_summaries(tmp_path)
+    (bad / "summary.csv").write_text(f"{header}\n{blank}")
+    with pytest.raises(ConfigError) as info:
+        load_summary(str(bad))
+    assert str(info.value) == f"{bad / 'summary.csv'}: summary has no data row"
+
+
 @pytest.mark.parametrize(
     "text",
     [

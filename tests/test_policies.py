@@ -1,9 +1,11 @@
 import itertools
 import random
+from dataclasses import fields
 
 import pytest
 
 from conftest import make_obs
+from elastidebt.experiment import ExperimentReport, ReportTotals, emit_csv, load_qtable
 from elastidebt.policies import (
     ACTION_ORDER,
     Action,
@@ -286,14 +288,17 @@ def test_voting_policy_with_no_ready_vms_maintains():
     assert VotingPolicy().decide(make_obs(ready_vms=0, utils=[])) is Action.MAINTAIN
 
 
-def test_qtable_round_trip():
+def test_qtable_round_trip(tmp_path):
     q = QTable()
     q.set(S_LOW_LOW, Action.LAUNCH, -1.25)
     q.visits[(S_LOW_LOW, Action.LAUNCH)] = 4
-    q.set(S_HIGH_HIGH, Action.RELEASE, 0.5)
-    back = QTable.from_rows(q.rows())
+    q.set(S_HIGH_HIGH, Action.RELEASE, 0.1 + 0.2)  # no short decimal form
+    # emit_csv needs a run's totals; only qtable.csv is read back
+    totals = ReportTotals(**{f.name: 0 for f in fields(ReportTotals)})
+    emit_csv(ExperimentReport([], totals, 0.0, qtable_rows=q.rows()), str(tmp_path))
+    back = load_qtable(str(tmp_path / "qtable.csv"))
     assert back.values == q.values
-    assert back.visits.get((S_LOW_LOW, Action.LAUNCH)) == 4
+    assert back.visits == {(S_LOW_LOW, Action.LAUNCH): 4, (S_HIGH_HIGH, Action.RELEASE): 0}
 
 
 # -- convergence against value iteration ----------------------------------------

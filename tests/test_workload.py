@@ -126,6 +126,7 @@ def deterministic_cases(draw):
             st.just(t),  # the whole profile
             st.floats(0.01, t),  # shorter than the profile
             st.floats(t, 2.0 * t),  # past its end, where the rate is 0
+            st.floats(2.0 * t, 6.0 * t),  # far past it
             st.integers(1, 15).map(lambda m: m * EXACT_STEP),  # an exact grid
         )
     )
@@ -160,6 +161,13 @@ def test_deterministic_exact_crossings_resolve_like_numpy():
     assert [times[k - 1] for k in (6, 12, 18, 24, 30, 36)] == [
         i * EXACT_STEP for i in (1, 2, 3, 6, 7, 8)
     ]
+    # the last segment's rate holds at its end, so cum climbs to 39 over the
+    # next step and stays there; arrival 39 takes the last point of that
+    # flat tail: the duration
+    longer = workload._deterministic_arrivals(profile, 12 * EXACT_STEP)
+    assert longer == reference_deterministic_arrivals(profile, 12 * EXACT_STEP)
+    assert longer[:36] == times
+    assert longer[36:] == [25 / 64, 26 / 64, 12 * EXACT_STEP]
 
 
 def test_deterministic_default_profile_matches_numpy_reference():
@@ -217,7 +225,12 @@ def test_generators_and_rate_at_match_the_segment_scan(profile, data):
     segs = profile.segments
     end = segs[-1].end
     duration = data.draw(
-        st.one_of(st.floats(0.0, end, exclude_min=True), st.just(end), st.floats(end, end + 30.0)),
+        st.one_of(
+            st.floats(0.0, end, exclude_min=True),
+            st.just(end),
+            st.floats(end, end + 30.0),
+            st.floats(end + 30.0, 4.0 * end + 300.0),
+        ),
         "duration",
     )
     seed = data.draw(st.integers(0, 2**32), "seed")
@@ -248,6 +261,24 @@ def test_generation_stops_at_the_profile_end(tmp_path):
         "for seed in (1, 2):\n"
         "    long = generate_trace(default_profile(), 21600.0 + 1e9, seed)\n"
         "    assert long == generate_trace(default_profile(), 21600.0 + 10.0, seed), seed\n",
+        tmp_path,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_deterministic_generation_stops_at_the_profile_end(tmp_path):
+    # the grid stops at the profile's end: a billion seconds more costs
+    # nothing (the subprocess times out or runs out of its 1 GiB otherwise)
+    proc = run_python(
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from elastidebt.workload import default_profile, generate_trace\n"
+        "profile = default_profile()\n"
+        "profile.arrival_mode = 'deterministic'\n"
+        "times = generate_trace(profile, 21600.0 + 1e9, 0).arrivals\n"
+        "assert times == generate_trace(profile, 21600.0 + 1e5, 0).arrivals\n"
+        "assert len(times) == 489600 and times[-1] < 21600.001, times[-3:]\n",
         tmp_path,
         timeout=60,
     )
