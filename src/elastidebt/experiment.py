@@ -308,8 +308,8 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
     """Write the report's CSV files into ``out_dir`` (created if missing).
 
     Emits provisioning.csv, penalties.csv, debt.csv, utility.csv,
-    summary.csv and, for learning runs, qtable.csv.  Times and horizons
-    use three decimal places, other floats six, and files end lines with LF.
+    summary.csv and, for learning runs, qtable.csv.  Times and horizons get
+    three decimals, Q values full precision, other floats six; lines end in LF.
     """
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
@@ -393,8 +393,8 @@ def load_summary(out_dir: str) -> ReportTotals:
     """
     path = os.path.join(out_dir, "summary.csv")
     columns = fields(ReportTotals)
-    header = [f.name for f in columns]
-    rows = [lr for lr in _read_csv(path, "summary", header, "unexpected summary header") if lr[1]]
+    rows = _read_csv(path, "summary", [f.name for f in columns], "unexpected summary header")
+    rows = [(line, row) for line, row in rows if row]  # blank lines are ignored
     if not rows:
         raise ConfigError(f"{path}: summary has no data row")
     (line, values), *more = rows

@@ -272,7 +272,8 @@ def test_deterministic_generation_stops_at_the_profile_end(tmp_path):
     # nothing (the subprocess times out or runs out of its 1 GiB otherwise)
     proc = run_python(
         "import resource\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, hard))\n"
         "from elastidebt.workload import default_profile, generate_trace\n"
         "profile = default_profile()\n"
         "profile.arrival_mode = 'deterministic'\n"
