@@ -24,7 +24,17 @@ from conftest import (
     reference_advance,
 )
 from elastidebt.economics import WindowCounts
-from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, VotingParams, VotingPolicy
+from elastidebt.policies import (
+    ACTION_ORDER,
+    Action,
+    DebtAwarePolicy,
+    QTable,
+    VotingParams,
+    VotingPolicy,
+    allowed_actions,
+    alpha_for,
+    q_update,
+)
 from elastidebt.sim import (
     Checkpoint,
     Cluster,
@@ -318,6 +328,52 @@ def test_full_run_invariants(run):
         span = cfg.decision_interval + cfg.billing_cycle if proactive else win.end - rec.time
         per_action = rec.per_action_utilities
         assert per_action == direct_replays(checkpoints[rec.time], per_action, rec.time + span)
+
+
+@RUN_SETTINGS
+@given(runs())
+def test_ideal_fleet_moves_the_decision_fleet_by_the_ideal_action(run):
+    # a valued window's ideal fleet is the fleet the policy saw when it
+    # decided, moved by the ideal action: the taken one when its debt is
+    # zero, else the first best in ACTION_ORDER
+    cfg, horizon, arrivals, policy = run
+    fleet = {}
+    decide = policy.decide
+
+    def logged(obs):
+        fleet[obs.time] = obs.ready_vms + obs.pending_vms
+        return decide(obs)
+
+    policy.decide = logged
+    result = Simulation(cfg).run(make_trace(arrivals), policy, horizon)
+    # each record is settled into one window, in decision order
+    assert result.records == [w.record for w in result.windows if w.record is not None]
+    delta = {Action.LAUNCH: 1, Action.RELEASE: -1, Action.MAINTAIN: 0}
+    for win in result.windows:
+        rec = win.record
+        if rec is None or not rec.per_action_utilities:
+            continue
+        per_action = rec.per_action_utilities
+        ideal = next(a for a in (rec.action_taken, *ACTION_ORDER) if per_action.get(a) == rec.u_ideal)
+        assert win.ideal_vms == max(1, fleet[rec.time] + delta[ideal]), rec.time
+
+
+@RUN_SETTINGS
+@given(runs(policies=(DebtAwarePolicy,)))
+def test_q_table_folds_each_record_debt_into_its_state_and_action(run):
+    # a Q update needs (s, a, r, s') alone: every record but the one the
+    # horizon settles rewards its state and action with its debt, and the
+    # next record's state is s'
+    cfg, horizon, arrivals, policy = run
+    result = Simulation(cfg).run(make_trace(arrivals), policy, horizon)
+    params, records = policy.params, result.records
+    expected = QTable()
+    for rec, nxt in zip(records, records[1:]):
+        state, action = rec.state, rec.action_taken
+        alpha = alpha_for(expected.visit_count(state, action), params)
+        q_update(expected, state, action, rec.debt, nxt.state, allowed_actions(nxt.state), alpha, params.gamma)
+    assert policy.qtable.values == expected.values
+    assert policy.qtable.visits == expected.visits
 
 
 @RUN_SETTINGS
