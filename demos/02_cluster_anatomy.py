@@ -3,7 +3,7 @@
 Run:  python3 demos/02_cluster_anatomy.py
 """
 
-from elastidebt import SimConfig, WorkloadTrace, run_simulation
+from elastidebt import SimConfig, Simulation, WorkloadTrace
 from elastidebt.policies import ACTION_ORDER, Action
 from elastidebt.sim import Cluster, VmInstance, billing_cycles_charged
 
@@ -17,7 +17,7 @@ class Maintain:
     def decide(self, obs):
         return Action.MAINTAIN
 
-    def observe_reward(self, reward, obs):
+    def observe_reward(self, record, obs):
         pass
 
 
@@ -53,7 +53,7 @@ class LaunchOnce(Maintain):
         return Action.MAINTAIN
 
 
-result = run_simulation(cfg, late, LaunchOnce(), 600.0)
+result = Simulation(cfg).run(late, LaunchOnce(), 600.0)
 print(f"\nfleet after one launch decision: {result.vms_launched} VMs")
 print(f"window count {len(result.windows)}, VM cycles charged {result.counts.cycles}")
 print("(the launched VM bills from its request time even while booting)")

@@ -7,10 +7,10 @@ from elastidebt import (
     DebtAwarePolicy,
     LearningParams,
     SimConfig,
+    Simulation,
     allowed_actions,
     default_profile,
     generate_trace,
-    run_simulation,
 )
 from elastidebt.policies import Level, StateKey
 
@@ -28,7 +28,7 @@ for ql in Level:
 cfg = SimConfig()
 trace = generate_trace(default_profile(), 3600.0, seed=11)
 policy = DebtAwarePolicy(LearningParams(), seed=99)
-result = run_simulation(cfg, trace, policy, 3600.0)
+result = Simulation(cfg).run(trace, policy, 3600.0)
 
 print(f"\none hour, {len(result.records)} adaptations:")
 for rec in result.records[:8]:

@@ -40,7 +40,6 @@ from .sim import (
     SimulationResult,
     VmInstance,
     billing_cycles_charged,
-    run_simulation,
 )
 from .workload import (
     RateProfile,
@@ -91,7 +90,6 @@ __all__ = [
     "paired_experiment",
     "parse_trace",
     "run_experiment",
-    "run_simulation",
     "select_action",
     "serialize_trace",
     "vm_vote",

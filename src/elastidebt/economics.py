@@ -98,15 +98,18 @@ class UtilityBreakdown:
 class AdaptationRecord:
     """One adaptation decision and its counterfactual valuation.
 
-    ``per_action_utilities`` holds each candidate's window utility, and is
-    empty when debts are not recorded.  The taken action's utility, the
-    best one and the debt are read from it, and are 0.0 when it is empty.
+    Made when the policy decides, from the state it saw, the action it took
+    and the ``candidates`` it chose from.  Settling the adaptation fills
+    ``per_action_utilities`` with each candidate's window utility; it stays
+    empty when debts are not recorded.  The taken action's utility, the best
+    one and the debt are read from it, and are 0.0 when it is empty.
     """
 
     time: float
     state: StateKey
     action_taken: Action
     per_action_utilities: dict[Action, float] = field(default_factory=dict)
+    candidates: tuple[Action, ...] = ()
 
     @property
     def u_actual(self) -> float:

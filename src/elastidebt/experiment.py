@@ -24,7 +24,7 @@ from .policies import (
     VotingParams,
     VotingPolicy,
 )
-from .sim import SimConfig, SimulationResult, run_simulation
+from .sim import SimConfig, Simulation, SimulationResult
 from .workload import (
     RateProfile,
     WorkloadTrace,
@@ -183,7 +183,7 @@ def _run_on(
     policy = build_policy(config)
 
     started = time.perf_counter()
-    result = run_simulation(config.sim, workload, policy, config.horizon, record_debt=record_debt)
+    result = Simulation(config.sim).run(workload, policy, config.horizon, record_debt=record_debt)
     wall_clock = time.perf_counter() - started
 
     # the one fold of a run's money: each total adds the windows in order

@@ -2,8 +2,9 @@
 
 Both policies share one interface: ``decide(observation) -> Action`` at each
 decision point, ``candidates(observation)`` for the action set they choose
-from, and ``observe_reward(reward, observation)`` called when the previous
-decision's window closes.  The voting baseline ignores rewards entirely.
+from, and ``observe_reward(record, observation)`` called when the previous
+decision's window closes, with its ``AdaptationRecord`` and the state it
+led to.  The voting baseline ignores rewards entirely.
 """
 
 from __future__ import annotations
@@ -248,9 +249,9 @@ def vote_decision(votes: list[Action]) -> Action:
 class DebtAwarePolicy:
     """Tabular Q-learning autoscaler rewarded with elasticity debts.
 
-    ``decide`` records the pending (state, action); ``observe_reward`` must
-    be called once with the debt of that decision when its window closes,
-    before the next ``decide``.
+    ``observe_reward(record, obs)`` updates Q for the record's state and
+    action with its debt as the reward and the state of ``obs`` as the next
+    state, so the policy keeps no copy of its decisions.
     """
 
     learns = True
@@ -265,7 +266,6 @@ class DebtAwarePolicy:
         self.params.validate()
         self.rng = random.Random(seed)
         self.qtable = qtable or QTable()
-        self.pending: tuple[StateKey, Action] | None = None
 
     def candidates(self, obs) -> tuple[Action, ...]:
         return allowed_actions(discretize_state(obs))
@@ -273,27 +273,22 @@ class DebtAwarePolicy:
     def decide(self, obs) -> Action:
         state = discretize_state(obs)
         allowed = allowed_actions(state)
-        action = select_action(self.qtable, state, allowed, self.params.epsilon, self.rng)
-        self.pending = (state, action)
-        return action
+        return select_action(self.qtable, state, allowed, self.params.epsilon, self.rng)
 
-    def observe_reward(self, reward: float, obs) -> None:
-        if self.pending is None:
-            raise RuntimeError("observe_reward called with no pending decision")
-        state, action = self.pending
+    def observe_reward(self, record, obs) -> None:
+        state, action = record.state, record.action_taken
         next_state = discretize_state(obs)
         alpha = alpha_for(self.qtable.visit_count(state, action), self.params)
         q_update(
             self.qtable,
             state,
             action,
-            reward,
+            record.debt,
             next_state,
             allowed_actions(next_state),
             alpha,
             self.params.gamma,
         )
-        self.pending = None
 
 
 class VotingPolicy:
@@ -316,5 +311,5 @@ class VotingPolicy:
         votes = [vm_vote(u, self.params) for u in utils]
         return vote_decision(votes)
 
-    def observe_reward(self, reward: float, obs) -> None:
+    def observe_reward(self, record, obs) -> None:
         pass

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 from . import economics
 from .economics import AdaptationRecord, UtilityBreakdown, WindowCounts
-from .policies import ACTION_ORDER, Action, StateKey, discretize_state
+from .policies import ACTION_ORDER, Action, discretize_state
 from .workload import RequestView, WorkloadTrace, first_out_of_order
 
 _EPS = 1e-9
@@ -436,17 +436,22 @@ class WindowMetrics:
 
 @dataclass
 class SimulationResult:
-    """What a run measured: its windows, adaptation records and ``counts``,
-    the cluster's reading of the whole run with the bill closed at the
-    horizon.  The report adds up the run's money from the windows."""
+    """What a run measured: its windows, each holding the adaptation record
+    it settled, and ``counts``, the cluster's reading of the whole run with
+    the bill closed at the horizon.  The report adds up the run's money from
+    the windows."""
 
     windows: list[WindowMetrics]
-    records: list[AdaptationRecord]
     counts: WindowCounts
     in_flight_at_end: int
     vms_launched: int
     # the trace's read-only ``WorkloadTrace.requests`` view
     requests: RequestView = field(repr=False)
+
+    @property
+    def records(self) -> list[AdaptationRecord]:
+        """The adaptation records in decision order, one per settling window."""
+        return [win.record for win in self.windows if win.record is not None]
 
 
 def _check_trace(trace: WorkloadTrace, horizon: float) -> None:
@@ -476,18 +481,6 @@ def _decision_ticks(interval: float, horizon: float):
     yield horizon
 
 
-@dataclass
-class _Pending:
-    """Adaptation awaiting its window close and debt valuation."""
-
-    time: float
-    state: StateKey
-    action: Action
-    candidates: tuple[Action, ...]
-    checkpoint: Checkpoint | None  # None when debts are not recorded
-    live_vms_before: int
-
-
 class Simulation:
     """Drives a policy over a workload trace on top of a Cluster."""
 
@@ -510,8 +503,9 @@ class Simulation:
 
         Each decision point past the cool-down, and the horizon, closes the
         window opened by the pending adaptation: it is measured, the
-        adaptation is settled and, where a checkpoint was taken (debts are
-        recorded and a decision follows), the policy is rewarded its debt.
+        adaptation's record is settled and, where a checkpoint was taken
+        (debts are recorded and a decision follows), handed to the policy
+        as its reward.
         """
         if self._ran:
             raise RuntimeError("a Simulation instance runs once; build a fresh one")
@@ -523,11 +517,13 @@ class Simulation:
         cluster = self.cluster
 
         windows: list[WindowMetrics] = []
-        records: list[AdaptationRecord] = []
         idx = 0
         win_start = 0.0
         snap, marks = self._open_window(win_start)
-        pending: _Pending | None = None
+        # the pending adaptation's record, and the checkpoint taken before
+        # its action (None when debts are not recorded)
+        record: AdaptationRecord | None = None
+        taken_at: Checkpoint | None = None
         # a learning policy values a fixed window past each adaptation
         # (proactive); otherwise the window is the span up to the next one
         learns = getattr(policy, "learns", False)
@@ -537,7 +533,7 @@ class Simulation:
             final = t == horizon
             idx = cluster.advance(t, trace, idx)
             # the cool-down runs from the pending adaptation
-            if not final and pending is not None and t - win_start < cfg.cool_down - _EPS:
+            if not final and record is not None and t - win_start < cfg.cool_down - _EPS:
                 continue
             # close the window [win_start, t]; the horizon closes the bill
             counts = cluster.counts(t, close=final) - snap
@@ -548,17 +544,13 @@ class Simulation:
             # takes no action
             checkpoint = None if final or not record_debt else Checkpoint(t, cluster, trace, idx)
 
-            record = None
-            if pending is not None:
+            if record is not None and taken_at is not None:
                 # no replay closes the bill, so the final window's measured
                 # utility is not comparable
-                record = self._settle(pending, t, None if final else breakdown, checkpoint)
-                records.append(record)
+                self._settle(record, taken_at, t, None if final else breakdown, checkpoint)
                 if checkpoint is not None:
-                    policy.observe_reward(record.debt, obs)
-            windows.append(
-                self._window_metrics(win_start, t, breakdown, obs, pending, record)
-            )
+                    policy.observe_reward(record, obs)
+            windows.append(self._window_metrics(win_start, t, breakdown, obs, record, taken_at))
             if final:
                 break
 
@@ -568,21 +560,14 @@ class Simulation:
                 raise TypeError(f"policy returned {action!r}, not an Action")
             if action not in candidates:
                 raise ValueError(f"policy chose {action} outside its candidate set")
-            pending = _Pending(
-                time=t,
-                state=discretize_state(obs),
-                action=action,
-                candidates=candidates,
-                checkpoint=checkpoint,
-                live_vms_before=len(cluster.active),
-            )
+            record = AdaptationRecord(t, discretize_state(obs), action, candidates=candidates)
+            taken_at = checkpoint
             cluster.apply(action, t)
             win_start = t
             snap, marks = self._open_window(t)
 
         return SimulationResult(
             windows=windows,
-            records=records,
             counts=cluster.counts(horizon, close=True),
             in_flight_at_end=cluster.outstanding_requests(),
             vms_launched=cluster.next_vm_id,
@@ -599,40 +584,39 @@ class Simulation:
 
     def _settle(
         self,
-        pending: _Pending,
+        record: AdaptationRecord,
+        taken_at: Checkpoint,
         now: float,
         measured: UtilityBreakdown | None,
         checkpoint: Checkpoint | None,
-    ) -> AdaptationRecord:
-        """Value the pending adaptation when its window closes at ``now``.
+    ) -> None:
+        """Value ``record``'s adaptation, taken at the checkpoint
+        ``taken_at``, when its window closes at ``now``.
 
         ``measured`` is the primary run's window since the adaptation, when
         that is comparable, and ``checkpoint`` the cluster where it closed.
-        An adaptation taken without a checkpoint records no debt.  The taken
-        action is valued from ``measured`` when the valuation window ends at
-        ``now``, joined with a MAINTAIN fork of ``checkpoint`` when it runs
-        past, and replayed with the other candidates when it ends before.
+        The taken action is valued from ``measured`` when the valuation
+        window ends at ``now``, joined with a MAINTAIN fork of
+        ``checkpoint`` when it runs past, and replayed with the other
+        candidates when it ends before.
         """
-        per_action: dict[Action, float] = {}
-        if pending.checkpoint is not None:
-            elapsed = now - pending.time
-            # the window ``run`` fixed, or else the span since the adaptation
-            window = self._window or elapsed
-            end = pending.time + window
-            known = None
-            if measured is not None and window >= elapsed:
-                counts = measured.counts
-                if window > elapsed:
-                    # the primary run held the taken action up to the next
-                    # checkpoint; MAINTAIN from there runs the rest of its
-                    # window, carrying on the adaptation's own MAINTAIN fork
-                    # when MAINTAIN was taken
-                    if pending.action is Action.MAINTAIN:
-                        checkpoint.take_over(pending.checkpoint, counts)
-                    counts += checkpoint.replay(Action.MAINTAIN, end).counts
-                known = {pending.action: counts.utility(self.config).utility}
-            per_action = economics.counterfactual_ideal(pending.checkpoint, pending.candidates, end, known)
-        return AdaptationRecord(pending.time, pending.state, pending.action, per_action)
+        elapsed = now - record.time
+        # the window ``run`` fixed, or else the span since the adaptation
+        window = self._window or elapsed
+        end = record.time + window
+        known = None
+        if measured is not None and window >= elapsed:
+            counts = measured.counts
+            if window > elapsed:
+                # the primary run held the taken action up to the next
+                # checkpoint; MAINTAIN from there runs the rest of its
+                # window, carrying on the adaptation's own MAINTAIN fork
+                # when MAINTAIN was taken
+                if record.action_taken is Action.MAINTAIN:
+                    checkpoint.take_over(taken_at, counts)
+                counts += checkpoint.replay(Action.MAINTAIN, end).counts
+            known = {record.action_taken: counts.utility(self.config).utility}
+        record.per_action_utilities = economics.counterfactual_ideal(taken_at, record.candidates, end, known)
 
     def _window_metrics(
         self,
@@ -640,8 +624,8 @@ class Simulation:
         end: float,
         breakdown: UtilityBreakdown,
         obs: ClusterObservation,
-        pending: _Pending | None,
         record: AdaptationRecord | None,
+        taken_at: Checkpoint | None,
     ) -> WindowMetrics:
         ideal = len(self.cluster.active)
         if record is not None and record.per_action_utilities:
@@ -649,7 +633,8 @@ class Simulation:
             per_action, best = record.per_action_utilities, record.u_ideal
             ideal_action = next(a for a in (record.action_taken, *ACTION_ORDER) if per_action.get(a) == best)
             delta = {Action.LAUNCH: 1, Action.RELEASE: -1, Action.MAINTAIN: 0}[ideal_action]
-            ideal = max(1, pending.live_vms_before + delta)
+            # a fork keeps every unreleased VM: the fleet before the action
+            ideal = max(1, len(taken_at.cluster.active) + delta)
         return WindowMetrics(
             start=start,
             end=end,
@@ -688,13 +673,3 @@ class Simulation:
             per_vm_utilization=utils,
         )
 
-
-def run_simulation(
-    config: SimConfig,
-    trace: WorkloadTrace,
-    policy,
-    horizon: float,
-    record_debt: bool = True,
-) -> SimulationResult:
-    """Build a fresh simulation and run the policy over the trace."""
-    return Simulation(config).run(trace, policy, horizon, record_debt=record_debt)

@@ -228,7 +228,7 @@ class FixedPolicy:
     def decide(self, obs):
         return self.action
 
-    def observe_reward(self, reward, obs):
+    def observe_reward(self, record, obs):
         pass
 
 

@@ -8,7 +8,7 @@ from conftest import captured_checkpoints, direct_replays, dispatch_alone, make_
 from elastidebt.economics import AdaptationRecord, WindowCounts, counterfactual_ideal
 from elastidebt.experiment import ExperimentConfig, run_experiment
 from elastidebt.policies import ACTION_ORDER, Action, DebtAwarePolicy, Level, StateKey, VotingPolicy
-from elastidebt.sim import Checkpoint, Cluster, SimConfig, run_simulation
+from elastidebt.sim import Checkpoint, Cluster, SimConfig, Simulation
 from elastidebt.workload import default_profile, generate_trace
 
 
@@ -142,8 +142,8 @@ def test_replay_does_not_perturb_primary_run():
     cfg = SimConfig()
     trace_a = generate_trace(default_profile(), 1800.0, seed=17)
     trace_b = generate_trace(default_profile(), 1800.0, seed=17)
-    with_debt = run_simulation(cfg, trace_a, VotingPolicy(), 1800.0, record_debt=True)
-    without = run_simulation(cfg, trace_b, VotingPolicy(), 1800.0, record_debt=False)
+    with_debt = Simulation(cfg).run(trace_a, VotingPolicy(), 1800.0, record_debt=True)
+    without = Simulation(cfg).run(trace_b, VotingPolicy(), 1800.0, record_debt=False)
     assert [w.ready_vms for w in with_debt.windows] == [w.ready_vms for w in without.windows]
     assert [w.breakdown for w in with_debt.windows] == [w.breakdown for w in without.windows]
     assert with_debt.counts == without.counts
@@ -187,7 +187,7 @@ def test_window_utilities_sum_to_run_total():
 def test_debts_non_positive_and_zero_iff_action_maximal():
     cfg = SimConfig()
     trace = generate_trace(default_profile(), 2400.0, seed=31)
-    result = run_simulation(cfg, trace, VotingPolicy(), 2400.0)
+    result = Simulation(cfg).run(trace, VotingPolicy(), 2400.0)
     assert result.records
     for rec in result.records:
         assert rec.debt <= 1e-9
@@ -222,7 +222,7 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
     monkeypatch.setattr(Checkpoint, "replay", counting)
     cfg = SimConfig()
     trace = generate_trace(default_profile(), 1800.0, seed=29)
-    result = run_simulation(cfg, trace, VotingPolicy(), 1800.0)
+    result = Simulation(cfg).run(trace, VotingPolicy(), 1800.0)
     checked = 0
     for win in result.windows[:-1]:
         if win.record is None:
@@ -275,7 +275,7 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
     monkeypatch.setattr(Cluster, "__init__", counting_forks)
     trace = generate_trace(default_profile(), 2400.0, seed=31)
     with captured_checkpoints() as checkpoints:
-        result = run_simulation(cfg, trace, DebtAwarePolicy(seed=4), 2400.0)
+        result = Simulation(cfg).run(trace, DebtAwarePolicy(seed=4), 2400.0)
     monkeypatch.undo()
     records = result.records
     assert len(records) >= 5
@@ -338,7 +338,7 @@ def test_run_checkpoints_replay_as_direct_replays(monkeypatch):
     monkeypatch.setattr(Checkpoint, "__init__", keeping)
     trace = generate_trace(default_profile(), 2400.0, seed=31)
     with captured_checkpoints() as checkpoints:
-        result = run_simulation(cfg, trace, DebtAwarePolicy(seed=4), 2400.0)
+        result = Simulation(cfg).run(trace, DebtAwarePolicy(seed=4), 2400.0)
     monkeypatch.undo()
     assert sum(rec.action_taken is Action.MAINTAIN for rec in result.records) >= 3
     for rec in result.records:

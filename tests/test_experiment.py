@@ -23,7 +23,7 @@ from elastidebt.experiment import (
     run_experiment,
 )
 from elastidebt.policies import LearningParams, VotingParams
-from elastidebt.sim import SimConfig, run_simulation
+from elastidebt.sim import SimConfig, Simulation
 from elastidebt.workload import RateProfile, Segment, load_profile
 
 
@@ -256,7 +256,7 @@ def test_non_finite_horizon_rejected(value):
     with pytest.raises(ConfigError, match="horizon"):
         run_experiment(default_config(horizon=value))
     with pytest.raises(ValueError, match="horizon"):
-        run_simulation(SimConfig(), make_trace([]), FixedPolicy(), value)
+        Simulation(SimConfig()).run(make_trace([]), FixedPolicy(), value)
 
 
 # -- run_experiment --------------------------------------------------------------

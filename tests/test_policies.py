@@ -5,6 +5,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import make_obs
+from elastidebt.economics import AdaptationRecord
 from elastidebt.experiment import ExperimentReport, ReportTotals, emit_csv, load_qtable
 from elastidebt.policies import (
     ACTION_ORDER,
@@ -240,26 +241,23 @@ def test_debt_aware_two_window_hand_trace():
     policy = DebtAwarePolicy(LearningParams(epsilon=0.0))
     obs_mm = make_obs(frac_queue=0.20, frac_idle=0.50)  # (Medium, Medium)
     obs_hl = make_obs(frac_queue=0.30, frac_idle=0.10)  # (High, Low)
-
-    assert policy.decide(obs_mm) is Action.MAINTAIN
-    policy.observe_reward(-2.0, obs_hl)
-    # alpha starts at 1: Q((M,M),maintain) = -2 + 0.99 * max over {launch} = -2
     s_mm = StateKey(Level.MEDIUM, Level.MEDIUM)
     s_hl = StateKey(Level.HIGH, Level.LOW)
+
+    assert policy.decide(obs_mm) is Action.MAINTAIN
+    # debt -2: launching would have been worth 2 more
+    maintained = AdaptationRecord(60.0, s_mm, Action.MAINTAIN, {Action.MAINTAIN: -2.0, Action.LAUNCH: 0.0})
+    policy.observe_reward(maintained, obs_hl)
+    # alpha starts at 1: Q((M,M),maintain) = -2 + 0.99 * max over {launch} = -2
     assert policy.qtable.get(s_mm, Action.MAINTAIN) == pytest.approx(-2.0)
 
     assert policy.decide(obs_hl) is Action.LAUNCH
-    policy.observe_reward(-1.0, obs_mm)
+    launched = AdaptationRecord(120.0, s_hl, Action.LAUNCH, {Action.LAUNCH: -1.0, Action.MAINTAIN: 0.0})
+    policy.observe_reward(launched, obs_mm)
     # max over allowed (M,M) is 0 from the untouched launch/release entries
     assert policy.qtable.get(s_hl, Action.LAUNCH) == pytest.approx(-1.0)
     # maintain is now dominated; launch wins the 0-0 tie against release
     assert policy.decide(obs_mm) is Action.LAUNCH
-
-
-def test_observe_without_pending_decision_errors():
-    policy = DebtAwarePolicy()
-    with pytest.raises(RuntimeError):
-        policy.observe_reward(-1.0, make_obs())
 
 
 def test_epsilon_zero_frozen_table_is_deterministic():

@@ -371,7 +371,8 @@ def test_q_table_folds_each_record_debt_into_its_state_and_action(run):
     for rec, nxt in zip(records, records[1:]):
         state, action = rec.state, rec.action_taken
         alpha = alpha_for(expected.visit_count(state, action), params)
-        q_update(expected, state, action, rec.debt, nxt.state, allowed_actions(nxt.state), alpha, params.gamma)
+        allowed = allowed_actions(nxt.state)
+        q_update(expected, state, action, rec.debt, nxt.state, allowed, alpha, params.gamma)
     assert policy.qtable.values == expected.values
     assert policy.qtable.visits == expected.visits
 

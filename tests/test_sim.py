@@ -13,7 +13,6 @@ from elastidebt.sim import (
     Simulation,
     VmInstance,
     billing_cycles_charged,
-    run_simulation,
     select_release_victim,
 )
 from elastidebt.workload import WorkloadTrace
@@ -283,7 +282,7 @@ def test_utilization_zero_ready_span_reads_zero():
 
 def test_empty_trace_costs_two_cycles(maintain_policy):
     cfg = SimConfig(initial_vms=1)
-    result = run_simulation(cfg, make_trace([]), maintain_policy, 600.0)
+    result = Simulation(cfg).run(make_trace([]), maintain_policy, 600.0)
     # no request earns or costs anything; the one VM pays two cycles
     assert result.counts == WindowCounts(submitted=0, successes=0, failures=0, cycles=2)
     assert sum(w.breakdown.revenue for w in result.windows) == 0.0
@@ -310,7 +309,7 @@ def test_conservation_of_requests():
     from elastidebt.workload import default_profile, generate_trace
 
     trace = generate_trace(default_profile(), 900.0, seed=11)
-    result = run_simulation(SimConfig(), trace, FixedPolicy(Action.MAINTAIN), 900.0)
+    result = Simulation(SimConfig()).run(trace, FixedPolicy(Action.MAINTAIN), 900.0)
     counts = result.counts
     assert counts.submitted == len(trace.arrivals)
     assert counts.successes + counts.failures + result.in_flight_at_end == counts.submitted
@@ -338,7 +337,7 @@ def test_adaptations_respect_cool_down():
 
     cfg = SimConfig()
     trace = generate_trace(default_profile(), 1800.0, seed=3)
-    result = run_simulation(cfg, trace, FixedPolicy(Action.MAINTAIN), 1800.0)
+    result = Simulation(cfg).run(trace, FixedPolicy(Action.MAINTAIN), 1800.0)
     times = [rec.time for rec in result.records]
     assert times, "expected at least one adaptation"
     gaps = [b - a for a, b in zip(times, times[1:])]
@@ -347,7 +346,7 @@ def test_adaptations_respect_cool_down():
 
 def test_last_vm_release_is_refused():
     cfg = SimConfig(initial_vms=1)
-    result = run_simulation(cfg, make_trace([]), FixedPolicy(Action.RELEASE), 1200.0)
+    result = Simulation(cfg).run(make_trace([]), FixedPolicy(Action.RELEASE), 1200.0)
     # the single VM survives the whole run and keeps billing
     assert result.counts.cycles == 4
     assert all(w.ready_vms == 1 for w in result.windows)
@@ -370,7 +369,7 @@ def test_at_ready_anchor_survives_launch_near_horizon():
     # past the 240 s horizon: it is simply not billed yet, while the initial
     # VM and the t=60 launch (anchored 165) each owe their started cycle
     cfg = SimConfig(billing_anchor="at_ready", initial_vms=1)
-    result = run_simulation(cfg, make_trace([]), FixedPolicy(Action.LAUNCH), 240.0)
+    result = Simulation(cfg).run(make_trace([]), FixedPolicy(Action.LAUNCH), 240.0)
     assert result.vms_launched == 3
     assert result.counts.cycles == 2
 
@@ -378,13 +377,13 @@ def test_at_ready_anchor_survives_launch_near_horizon():
 def test_trace_beyond_horizon_rejected(maintain_policy):
     trace = make_trace([(100.0, 2.0)])
     with pytest.raises(ValueError, match="horizon"):
-        run_simulation(SimConfig(), trace, maintain_policy, 50.0)
+        Simulation(SimConfig()).run(trace, maintain_policy, 50.0)
 
 
 def test_unordered_trace_rejected(maintain_policy):
     trace = WorkloadTrace([20.0, 10.0], [2.0, 2.0])
     with pytest.raises(ValueError, match="out of order at request 1"):
-        run_simulation(SimConfig(), trace, maintain_policy, 60.0)
+        Simulation(SimConfig()).run(trace, maintain_policy, 60.0)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -421,7 +420,7 @@ def test_policy_returning_junk_rejected():
             return "scale-up"
 
     with pytest.raises(TypeError):
-        run_simulation(SimConfig(), make_trace([]), Junk(), 600.0)
+        Simulation(SimConfig()).run(make_trace([]), Junk(), 600.0)
 
 
 def test_run_is_deterministic():
@@ -429,8 +428,8 @@ def test_run_is_deterministic():
 
     trace_a = generate_trace(default_profile(), 1200.0, seed=21)
     trace_b = generate_trace(default_profile(), 1200.0, seed=21)
-    res_a = run_simulation(SimConfig(), trace_a, FixedPolicy(Action.MAINTAIN), 1200.0)
-    res_b = run_simulation(SimConfig(), trace_b, FixedPolicy(Action.MAINTAIN), 1200.0)
+    res_a = Simulation(SimConfig()).run(trace_a, FixedPolicy(Action.MAINTAIN), 1200.0)
+    res_b = Simulation(SimConfig()).run(trace_b, FixedPolicy(Action.MAINTAIN), 1200.0)
     assert [w.breakdown for w in res_a.windows] == [w.breakdown for w in res_b.windows]
     assert res_a.counts == res_b.counts
     assert res_a.records == res_b.records
@@ -492,7 +491,7 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
 
     trace = generate_trace(default_profile(), 1200.0, seed=5)
     policy = FixedPolicy(Action.LAUNCH)
-    recorded = run_simulation(SimConfig(), trace, policy, 1200.0)
+    recorded = Simulation(SimConfig()).run(trace, policy, 1200.0)
     built = []
     original = Checkpoint.__init__
 
@@ -501,7 +500,7 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
         original(self, *args, **kwargs)
 
     monkeypatch.setattr(Checkpoint, "__init__", counting)
-    unrecorded = run_simulation(SimConfig(), trace, policy, 1200.0, record_debt=False)
+    unrecorded = Simulation(SimConfig()).run(trace, policy, 1200.0, record_debt=False)
     assert built == []
     assert len(unrecorded.records) == len(recorded.records) > 0
     # an unvalued record reads no utility and no debt
@@ -527,8 +526,8 @@ class RewardLog(FixedPolicy):
         self.turns += 1
         return ACTION_ORDER[self.turns % len(ACTION_ORDER)]
 
-    def observe_reward(self, reward, obs):
-        self.rewards.append((obs.time, reward))
+    def observe_reward(self, record, obs):
+        self.rewards.append((obs.time, record.debt))
 
 
 @pytest.mark.parametrize("learns", [True, False], ids=["proactive", "retrospective"])
@@ -539,7 +538,7 @@ def test_policy_is_rewarded_once_per_record_before_the_horizon(learns):
     horizon = 1230.0
     trace = generate_trace(default_profile(), horizon, seed=4)
     policy = RewardLog(learns)
-    result = run_simulation(SimConfig(), trace, policy, horizon)
+    result = Simulation(SimConfig()).run(trace, policy, horizon)
     settled = [(w.end, w.record.debt) for w in result.windows if w.record is not None]
     assert len(settled) == len(result.records) > 2
     assert settled[-1][0] == horizon
@@ -548,7 +547,7 @@ def test_policy_is_rewarded_once_per_record_before_the_horizon(learns):
     assert policy.rewards == settled[:-1]
 
     unrecorded = RewardLog(learns)
-    result = run_simulation(SimConfig(), trace, unrecorded, horizon, record_debt=False)
+    result = Simulation(SimConfig()).run(trace, unrecorded, horizon, record_debt=False)
     assert len(result.records) == len(settled)
     assert unrecorded.rewards == []
 
@@ -557,7 +556,7 @@ def test_window_sequence_partitions_run(maintain_policy):
     from elastidebt.workload import default_profile, generate_trace
 
     trace = generate_trace(default_profile(), 1000.0, seed=8)
-    result = run_simulation(SimConfig(), trace, maintain_policy, 1000.0)
+    result = Simulation(SimConfig()).run(trace, maintain_policy, 1000.0)
     assert result.windows[0].start == 0.0
     assert result.windows[-1].end == 1000.0
     for prev, cur in zip(result.windows, result.windows[1:]):

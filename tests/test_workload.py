@@ -15,7 +15,7 @@ from conftest import FixedPolicy, reference_poisson_arrivals, reference_rate_at
 import elastidebt
 from elastidebt import workload
 from elastidebt.policies import DebtAwarePolicy
-from elastidebt.sim import SimConfig, run_simulation
+from elastidebt.sim import SimConfig, Simulation
 from elastidebt.workload import (
     DEFAULT_WORK_MI,
     ProfileError,
@@ -509,7 +509,7 @@ def test_no_request_objects_in_generation_parsing_or_simulation(monkeypatch):
     assert (back.arrivals, back.work) == (trace.arrivals, trace.work)
     cfg = SimConfig(decision_interval=60.0, cool_down=60.0)
     for policy in (DebtAwarePolicy(seed=1), FixedPolicy()):
-        result = run_simulation(cfg, trace, policy, 900.0)
+        result = Simulation(cfg).run(trace, policy, 900.0)
         assert result.records and len(result.requests) == len(trace)
     with pytest.raises(AssertionError, match="a Request was built"):
         next(iter(trace.requests))
