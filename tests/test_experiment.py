@@ -251,6 +251,30 @@ def test_non_finite_parameters_rejected(section, name, value):
         run_experiment(cfg)
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("initial_vms", 2.5),
+        ("initial_vms", True),
+        ("initial_vms", "5"),
+        ("spin_up", True),
+        ("spin_up", None),
+        ("billing_anchor", None),
+        ("sla_mode", None),
+    ],
+)
+def test_badly_typed_sim_parameters_rejected(name, value):
+    # each field's type is checked before its value, so the error names the
+    # field rather than surfacing from inside the simulator
+    with pytest.raises(ValueError, match=name):
+        Simulation(SimConfig(**{name: value}))
+
+
+def test_float_parameters_take_ints():
+    result = Simulation(SimConfig(spin_up=105, billing_cycle=300)).run(make_trace([]), FixedPolicy(), 600.0)
+    assert result.counts.cycles == 10
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_non_finite_horizon_rejected(value):
     with pytest.raises(ConfigError, match="horizon"):
