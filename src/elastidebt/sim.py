@@ -559,6 +559,8 @@ class Simulation:
                 break
 
             candidates = tuple(policy.candidates(obs))
+            if not all(isinstance(a, Action) for a in candidates):
+                raise TypeError(f"policy offered candidates {candidates!r}, not all Actions")
             action = policy.decide(obs)
             if not isinstance(action, Action):
                 raise TypeError(f"policy returned {action!r}, not an Action")

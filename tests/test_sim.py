@@ -423,6 +423,15 @@ def test_policy_returning_junk_rejected():
         Simulation(SimConfig()).run(make_trace([]), Junk(), 600.0)
 
 
+def test_policy_offering_junk_candidates_rejected():
+    class JunkCandidates(FixedPolicy):
+        def candidates(self, obs):
+            return (Action.MAINTAIN, "launch")
+
+    with pytest.raises(TypeError, match="'launch'"):
+        Simulation(SimConfig()).run(make_trace([]), JunkCandidates(), 600.0)
+
+
 def test_run_is_deterministic():
     from elastidebt.workload import default_profile, generate_trace
 
