@@ -65,7 +65,7 @@ class SimConfig:
             # a float field takes an int as well; no field takes a bool
             kinds = (int, float) if isinstance(f.default, float) else type(f.default)
             if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{f.name} must be a {type(f.default).__name__}, got {value!r}")
+                raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
             if not isinstance(value, str) and not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         # every time, rate and price is positive: each float field but sla_target
