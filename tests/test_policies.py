@@ -3,6 +3,8 @@ import random
 from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_obs
 from elastidebt.economics import AdaptationRecord
@@ -116,6 +118,29 @@ def test_select_action_stays_within_allowed():
         assert select_action(q, S_LOW_LOW, allowed, eps, rng) in allowed
     with pytest.raises(ValueError):
         select_action(q, S_LOW_LOW, (), 0.0, rng)
+
+
+def reference_argmax(q, state, allowed):
+    """The first action in ACTION_ORDER whose Q value no later one beats."""
+    best = None
+    for action in ACTION_ORDER:
+        if action in allowed and (best is None or q.get(state, action) > q.get(state, best)):
+            best = action
+    return best
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    # few distinct values, so ties are common; an absent entry reads as 0
+    st.dictionaries(st.sampled_from(ACTION_ORDER), st.sampled_from([-1.0, -0.5, 0.0, 0.5])),
+    st.lists(st.sampled_from(ACTION_ORDER), min_size=1, max_size=3, unique=True),
+)
+def test_greedy_selection_matches_reference_argmax(values, allowed):
+    q = QTable()
+    q.values.update({(S_LOW_LOW, a): v for a, v in values.items()})
+    q.values[(S_HIGH_HIGH, Action.RELEASE)] = 9.0  # another state's values are not read
+    got = select_action(q, S_LOW_LOW, tuple(allowed), epsilon=0.0, rng=random.Random(0))
+    assert got is reference_argmax(q, S_LOW_LOW, allowed)
 
 
 # -- q update ------------------------------------------------------------------
