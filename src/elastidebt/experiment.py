@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field, fields, replace
 
 from .policies import (
+    FIELD_TYPES,
     Action,
     DebtAwarePolicy,
     LearningParams,
@@ -23,6 +24,7 @@ from .policies import (
     StateKey,
     VotingParams,
     VotingPolicy,
+    check_fields,
 )
 from .sim import SimConfig, Simulation, SimulationResult
 from .workload import (
@@ -62,6 +64,7 @@ class ExperimentConfig:
     qtable_in: str | None = None
 
     def validate(self) -> None:
+        check_fields(self, ConfigError)
         self.sim.validate()
         self.learning.validate()
         self.voting.validate()
@@ -69,8 +72,8 @@ class ExperimentConfig:
             raise ConfigError("exactly one workload source (profile or trace) is required")
         if self.policy not in ("debt-aware", "voting"):
             raise ConfigError(f"unknown policy {self.policy!r}")
-        if not 0 < self.horizon < math.inf:
-            raise ConfigError(f"horizon must be positive and finite, got {self.horizon}")
+        if self.horizon <= 0:
+            raise ConfigError(f"horizon must be positive, got {self.horizon}")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -81,9 +84,10 @@ def load_config(path: str) -> ExperimentConfig:
     """
     base = os.path.dirname(os.path.abspath(path))
     cfg = ExperimentConfig()
-    # every parameter field is a key, parsed as the type of its default
-    owners = {f.name: sec for sec in (cfg.sim, cfg.learning, cfg.voting) for f in fields(sec)}
-    owners.update(policy=cfg, seed=cfg, horizon=cfg)
+    # every parameter field is a key, parsed by its annotation
+    keys = [(sec, f) for sec in (cfg.sim, cfg.learning, cfg.voting) for f in fields(sec)]
+    keys += [(cfg, f) for f in fields(cfg) if f.name in ("policy", "seed", "horizon")]
+    owners = {f.name: (sec, FIELD_TYPES[f.type][1]) for sec, f in keys}
     paths = {"trace": "trace_path", "output_dir": "output_dir", "qtable_in": "qtable_in"}
 
     def assign(key: str, value: str) -> str:
@@ -92,8 +96,8 @@ def load_config(path: str) -> ExperimentConfig:
         elif key == "profile":
             cfg.profile = load_profile(os.path.join(base, value))
         else:
-            owner = owners[key]
-            setattr(owner, key, type(getattr(owner, key))(value))
+            owner, parse = owners[key]
+            setattr(owner, key, parse(value))
         return key
 
     read_key_values(path, "config", ConfigError, assign)
@@ -292,8 +296,6 @@ _WINDOW_FILES = {
     "utility.csv": ("window_utility", "cumulative_utility"),
 }
 _QTABLE_HEADER = ["queued_level", "billing_idle_level", "action", "q", "visits"]
-# summary.csv cells are parsed by the annotated type of their field
-_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def _cell(f, value) -> str:
@@ -403,11 +405,9 @@ def load_summary(out_dir: str) -> ReportTotals:
     if len(values) != len(columns):
         raise ConfigError(f"{path}:{line}: expected {len(columns)} columns, got {len(values)}")
     try:
-        parsed = [_PARSERS[f.type](v) for f, v in zip(columns, values)]
-        for f, x in zip(columns, parsed):
-            if f.type == "float" and not math.isfinite(x):
-                raise ValueError(f"{f.name} must be finite, got {x}")
-        return ReportTotals(*parsed)
+        totals = ReportTotals(*(FIELD_TYPES[f.type][1](v) for f, v in zip(columns, values)))
+        check_fields(totals)
+        return totals
     except ValueError as exc:
         raise ConfigError(f"{path}:{line}: bad summary value: {exc}") from exc
 

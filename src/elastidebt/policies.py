@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
 
@@ -54,6 +54,28 @@ IDLE_LOW = 0.33
 IDLE_HIGH = 0.66
 
 
+# A parameter field's annotation -> the types its value takes and the parser
+# of its text: the one rule for every config field and summary cell.
+FIELD_TYPES = {
+    "float": ((int, float), float),
+    "int": (int, int),
+    "str": (str, str),
+    "str | None": ((str, type(None)), str),
+}
+
+
+def check_fields(params, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first field of the dataclass ``params`` whose
+    value its FIELD_TYPES entry does not take, or that is a bool or not finite."""
+    for f in fields(params):
+        if f.type in FIELD_TYPES:
+            value = getattr(params, f.name)
+            if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[f.type][0]):
+                raise error(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise error(f"{f.name} must be finite, got {value}")
+
+
 @dataclass
 class LearningParams:
     """Q-learning hyperparameters.
@@ -72,9 +94,7 @@ class LearningParams:
     alpha_decay: str = "linear"  # or "multiplicative"
 
     def validate(self) -> None:
-        for name in ("alpha_initial", "alpha_decay_step", "alpha_min"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        check_fields(self)
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
         if not 0.0 <= self.gamma <= 1.0:
@@ -97,6 +117,7 @@ class VotingParams:
     upper_cpu: float = 0.95
 
     def validate(self) -> None:
+        check_fields(self)
         if not 0.0 <= self.lower_cpu < self.upper_cpu <= 1.0:
             raise ValueError("need 0 <= lower_cpu < upper_cpu <= 1")
 
@@ -115,14 +136,8 @@ class QTable:
     def get(self, state: StateKey, action: Action) -> float:
         return self.values.get((state, action), 0.0)
 
-    def set(self, state: StateKey, action: Action, value: float) -> None:
-        self.values[(state, action)] = value
-
     def visit_count(self, state: StateKey, action: Action) -> int:
         return self.visits.get((state, action), 0)
-
-    def max_over(self, state: StateKey, actions: tuple[Action, ...]) -> float:
-        return max(self.get(state, a) for a in actions)
 
     def rows(self) -> list[tuple[str, str, str, float, int]]:
         """Flat (queued_level, billing_idle_level, action, q, visits) rows in a fixed order."""
@@ -182,14 +197,7 @@ def select_action(
         raise ValueError("allowed action set is empty")
     if epsilon > 0.0 and rng.random() < epsilon:
         return allowed[rng.randrange(len(allowed))]
-    ordered = [a for a in ACTION_ORDER if a in allowed]
-    best = ordered[0]
-    best_q = q.get(state, best)
-    for action in ordered[1:]:
-        value = q.get(state, action)
-        if value > best_q:
-            best, best_q = action, value
-    return best
+    return max((a for a in ACTION_ORDER if a in allowed), key=lambda a: q.get(state, a))
 
 
 def q_update(
@@ -208,9 +216,8 @@ def q_update(
         raise ValueError("alpha must be in (0, 1]")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    target = reward + gamma * q.max_over(next_state, allowed_next)
-    current = q.get(state, action)
-    q.set(state, action, (1.0 - alpha) * current + alpha * target)
+    target = reward + gamma * max(q.get(next_state, a) for a in allowed_next)
+    q.values[(state, action)] = (1.0 - alpha) * q.get(state, action) + alpha * target
     q.visits[(state, action)] = q.visit_count(state, action) + 1
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 from . import economics
 from .economics import AdaptationRecord, UtilityBreakdown, WindowCounts
-from .policies import ACTION_ORDER, Action, discretize_state
+from .policies import ACTION_ORDER, Action, check_fields, discretize_state
 from .workload import RequestView, WorkloadTrace, first_out_of_order
 
 _EPS = 1e-9
@@ -60,17 +60,10 @@ class SimConfig:
     cycle_proximity: float = 60.0  # "close to next billing cycle" cutoff
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # a float field takes an int as well; no field takes a bool
-            kinds = (int, float) if isinstance(f.default, float) else type(f.default)
-            if isinstance(value, bool) or not isinstance(value, kinds):
-                raise ValueError(f"{f.name} must be {type(f.default).__name__}, got {value!r}")
-            if not isinstance(value, str) and not math.isfinite(value):
-                raise ValueError(f"{f.name} must be finite, got {value}")
+        check_fields(self)
         # every time, rate and price is positive: each float field but sla_target
         for f in fields(self):
-            if isinstance(f.default, float) and f.name != "sla_target" and getattr(self, f.name) <= 0:
+            if f.type == "float" and f.name != "sla_target" and getattr(self, f.name) <= 0:
                 raise ValueError(f"{f.name} must be positive")
         if self.initial_vms < 1:
             raise ValueError("initial_vms must be at least 1")

@@ -155,7 +155,7 @@ def test_criterion_6_q_learning_matches_value_iteration():
     max_err = max(abs(q.get(*sa) - q_star[sa]) for sa in rewards)
 
     single = QTable()
-    single.set(s1, actions[1], 7.0)
+    single.values[(s1, actions[1])] = 7.0
     q_update(single, s0, actions[0], -3.0, s1, actions, 1.0, gamma)
     alpha_one_exact = single.get(s0, actions[0]) == -3.0 + gamma * 7.0
 

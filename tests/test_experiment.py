@@ -270,6 +270,30 @@ def test_badly_typed_sim_parameters_rejected(name, value):
         Simulation(SimConfig(**{name: value}))
 
 
+@pytest.mark.parametrize(
+    "section,name,value",
+    [
+        ("learning", "gamma", True),
+        ("learning", "epsilon", None),
+        ("learning", "alpha_decay_step", "0.1"),
+        ("voting", "lower_cpu", None),
+        ("voting", "upper_cpu", True),
+        ("experiment", "seed", 1.0),
+        ("experiment", "seed", None),
+        ("experiment", "horizon", True),
+        ("experiment", "trace_path", 5),
+    ],
+)
+def test_badly_typed_parameters_rejected(section, name, value):
+    # one rule for every parameter section: a seed of 1.0 would otherwise
+    # derive other streams than seed 1, and a trace_path of 5 open a file
+    # descriptor
+    cfg = default_config()
+    setattr(cfg if section == "experiment" else getattr(cfg, section), name, value)
+    with pytest.raises(ValueError, match=name):
+        cfg.validate()
+
+
 def test_float_parameters_take_ints():
     result = Simulation(SimConfig(spin_up=105, billing_cycle=300)).run(make_trace([]), FixedPolicy(), 600.0)
     assert result.counts.cycles == 10

@@ -83,9 +83,9 @@ def test_allowed_actions_preconditions():
 
 def test_select_action_exploits_argmax():
     q = QTable()
-    q.set(S_LOW_LOW, Action.LAUNCH, -1.0)
-    q.set(S_LOW_LOW, Action.MAINTAIN, -0.5)
-    q.set(S_LOW_LOW, Action.RELEASE, -2.0)
+    q.values[(S_LOW_LOW, Action.LAUNCH)] = -1.0
+    q.values[(S_LOW_LOW, Action.MAINTAIN)] = -0.5
+    q.values[(S_LOW_LOW, Action.RELEASE)] = -2.0
     got = select_action(q, S_LOW_LOW, ACTION_ORDER, epsilon=0.0, rng=random.Random(0))
     assert got is Action.MAINTAIN
 
@@ -114,7 +114,8 @@ def test_select_action_stays_within_allowed():
         n = rng.randrange(1, 4)
         allowed = tuple(rng.sample(ACTION_ORDER, n))
         eps = rng.random()
-        q.set(S_LOW_LOW, rng.choice(ACTION_ORDER), rng.uniform(-3, 3))
+        action = rng.choice(ACTION_ORDER)
+        q.values[(S_LOW_LOW, action)] = rng.uniform(-3, 3)
         assert select_action(q, S_LOW_LOW, allowed, eps, rng) in allowed
     with pytest.raises(ValueError):
         select_action(q, S_LOW_LOW, (), 0.0, rng)
@@ -148,14 +149,14 @@ def test_greedy_selection_matches_reference_argmax(values, allowed):
 
 def test_q_update_alpha_one_overwrites():
     q = QTable()
-    q.set(S_HIGH_HIGH, Action.LAUNCH, 10.0)
+    q.values[(S_HIGH_HIGH, Action.LAUNCH)] = 10.0
     q_update(q, S_LOW_LOW, Action.MAINTAIN, -3.0, S_HIGH_HIGH, (Action.LAUNCH,), 1.0, 0.5)
     assert q.get(S_LOW_LOW, Action.MAINTAIN) == -3.0 + 0.5 * 10.0
 
 
 def test_q_update_hand_arithmetic():
     q = QTable()
-    q.set(S_HIGH_HIGH, Action.RELEASE, 10.0)
+    q.values[(S_HIGH_HIGH, Action.RELEASE)] = 10.0
     q_update(q, S_LOW_LOW, Action.MAINTAIN, -2.0, S_HIGH_HIGH, ACTION_ORDER, 0.5, 0.99)
     # 0.5*0 + 0.5*(-2 + 0.99*10) = 3.95
     assert q.get(S_LOW_LOW, Action.MAINTAIN) == pytest.approx(3.95)
@@ -163,7 +164,7 @@ def test_q_update_hand_arithmetic():
 
 def test_q_update_decays_toward_zero_when_myopic():
     q = QTable()
-    q.set(S_LOW_LOW, Action.MAINTAIN, 8.0)
+    q.values[(S_LOW_LOW, Action.MAINTAIN)] = 8.0
     q_update(q, S_LOW_LOW, Action.MAINTAIN, 0.0, S_LOW_LOW, ACTION_ORDER, 0.25, 0.0)
     # gamma=0: target ignores the 8.0 sitting at (s, maintain) via max? no --
     # max over next includes maintain itself; with gamma=0 the target is r=0
@@ -257,7 +258,7 @@ def test_debt_aware_first_decision_is_maintain():
 def test_precondition_dominates_learned_values():
     policy = DebtAwarePolicy(LearningParams(epsilon=0.0))
     state = StateKey(Level.HIGH, Level.LOW)
-    policy.qtable.set(state, Action.LAUNCH, -100.0)
+    policy.qtable.values[(state, Action.LAUNCH)] = -100.0
     obs = make_obs(frac_queue=0.30, frac_idle=0.10)
     assert policy.decide(obs) is Action.LAUNCH  # only allowed action
 
@@ -313,9 +314,9 @@ def test_voting_policy_with_no_ready_vms_maintains():
 
 def test_qtable_round_trip(tmp_path):
     q = QTable()
-    q.set(S_LOW_LOW, Action.LAUNCH, -1.25)
+    q.values[(S_LOW_LOW, Action.LAUNCH)] = -1.25
     q.visits[(S_LOW_LOW, Action.LAUNCH)] = 4
-    q.set(S_HIGH_HIGH, Action.RELEASE, 0.1 + 0.2)  # no short decimal form
+    q.values[(S_HIGH_HIGH, Action.RELEASE)] = 0.1 + 0.2  # no short decimal form
     # emit_csv needs a run's totals; only qtable.csv is read back
     totals = ReportTotals(**{f.name: 0 for f in fields(ReportTotals)})
     emit_csv(ExperimentReport([], totals, 0.0, qtable_rows=q.rows()), str(tmp_path))
