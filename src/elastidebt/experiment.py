@@ -38,6 +38,14 @@ from .workload import (
 )
 
 
+# ExperimentConfig's section annotations, whose values have no text to parse;
+# sim imports policies, so they join the table here
+FIELD_TYPES["SimConfig"] = (SimConfig, None)
+FIELD_TYPES["RateProfile | None"] = ((RateProfile, type(None)), None)
+FIELD_TYPES["LearningParams"] = (LearningParams, None)
+FIELD_TYPES["VotingParams"] = (VotingParams, None)
+
+
 class ConfigError(ValueError):
     """An experiment configuration is invalid or unreadable."""
 

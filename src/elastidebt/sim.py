@@ -315,11 +315,15 @@ class Cluster:
         and starts when it is ready.  A VM has nothing outstanding exactly
         when its last finish is <= the arrival, so the scan stops at the
         first such VM (``active`` is in ascending id order).  Only when every
-        VM is busy are their finished requests settled to count the loads.
-        A request starts at the latest of its arrival, the VM's ready time
-        and the VM's last finish; it meets the SLA when its response time is
-        below the limit by more than 1e-9 s, so queued jobs that sum to the
-        limit (ten 0.2 s jobs, 2.0 s) fail.
+        VM is busy are their finished requests settled to count the loads,
+        and that scan stops at the first VM left holding one request: a busy
+        VM still holds its last request, so one is the least load, and every
+        VM before it holds more.  The VMs after it are settled later, which
+        pops the same requests in the same order, so no count or ``served``
+        depends on when.  A request starts at the latest of its arrival, the
+        VM's ready time and the VM's last finish; it meets the SLA when its
+        response time is below the limit by more than 1e-9 s, so queued jobs
+        that sum to the limit (ten 0.2 s jobs, 2.0 s) fail.
         """
         arrivals = trace.arrivals
         end = bisect_right(arrivals, until, idx)
@@ -339,6 +343,8 @@ class Cluster:
                         settle(cand, now)
                     if len(jobs) < load:
                         vm, load = cand, len(jobs)
+                        if load == 1:
+                            break
                 # a busy VM's last finish is after now and after it turned ready
                 start = vm.last_finish
             finish = start + work / capacity

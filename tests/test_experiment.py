@@ -294,6 +294,26 @@ def test_badly_typed_parameters_rejected(section, name, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "name,value",
+    [
+        ("sim", None),
+        ("profile", "profiles/default-6h.cfg"),
+        ("learning", 3),
+        ("voting", "v"),
+    ],
+)
+def test_badly_typed_sections_rejected(name, value):
+    # a section of the wrong type is named before any section validates
+    # itself: the bad spin_up would otherwise fail first, and a profile path
+    # given as a string would pass and fail only once the run starts
+    kwargs = {"sim": SimConfig(spin_up=-1.0), "trace_path": "x", name: value}
+    if name == "profile":
+        kwargs["trace_path"] = None
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        ExperimentConfig(**kwargs).validate()
+
+
 def test_float_parameters_take_ints():
     result = Simulation(SimConfig(spin_up=105, billing_cycle=300)).run(make_trace([]), FixedPolicy(), 600.0)
     assert result.counts.cycles == 10

@@ -191,6 +191,38 @@ def dispatch_cases(draw):
 # every VM is busy at 1.0, when vm0's first request finishes: settled, vm0
 # holds one request as vm1 does and wins the tie; unsettled, it holds two
 @example(case=(SimConfig(vm_capacity=2.0), (2, 0), [(0.0, 2.0), (0.25, 3.0), (0.5, 2.0), (1.0, 2.0)], []))
+# the all-busy scan stops at the first VM holding one request.  At 1.1 vm0
+# holds two and vm1 one, so vm1 wins; vm2, whose head finished at 0.7, is
+# left unsettled until the split at 1.1
+@example(
+    case=(
+        SimConfig(vm_capacity=1.0),
+        (3, 0),
+        [(0.0, 10.0), (0.1, 10.0), (0.2, 0.5), (0.3, 10.0), (1.0, 0.2), (1.1, 0.2)],
+        [(1.1, None)],
+    )
+)
+# at 1.0 vm0 holds two requests and vm1 and vm2 one each: the lower id wins
+@example(
+    case=(
+        SimConfig(vm_capacity=1.0),
+        (3, 0),
+        [(0.0, 4.0), (0.25, 4.0), (0.5, 4.0), (0.75, 1.0), (1.0, 1.0)],
+        [],
+    )
+)
+# vm0's head finishes exactly at the arrival at 1.0: settled, vm0 holds one
+# request and wins the tie with vm1, which holds one unsettled
+@example(case=(SimConfig(vm_capacity=1.0), (2, 0), [(0.0, 1.0), (0.25, 4.0), (0.5, 2.0), (1.0, 0.5)], []))
+# a deep backlog: every load is at least two, so each scan visits every VM
+@example(
+    case=(
+        SimConfig(vm_capacity=1.0),
+        (3, 0),
+        [(0.0, 10.0)] * 6 + [(0.25, 1.0), (0.5, 1.0), (0.75, 1.0), (1.0, 1.0)],
+        [(0.5, None)],
+    )
+)
 def test_advance_dispatches_as_one_arrival_at_a_time(case):
     # the dispatch loop in ``advance`` equals the reference rule applied to
     # one arrival at a time, after every split, launch and release

@@ -56,6 +56,22 @@ def test_dispatch_tie_breaks_on_lowest_id():
     assert dispatch_all(cluster, 0.0, 2.0) == [0]
 
 
+def test_busy_dispatch_stops_at_first_one_request_vm():
+    cluster = Cluster(SimConfig())
+    for _ in range(3):
+        cluster.launch_vm(0.0, initial=True)
+    log = recorded_jobs(cluster)
+    trace = make_trace([(0.0, 100.0), (0.1, 100.0), (0.2, 5.0), (0.3, 100.0), (1.0, 2.0), (1.1, 2.0)])
+    cluster.advance(1.1, trace, 0)
+    # at 1.1 every VM is busy: vm0 holds two requests and vm1 one, so vm1
+    # wins and the scan stops before vm2, whose first request finished at 0.7
+    assert [vm_id for vm_id, *_ in log] == [0, 1, 2, 0, 2, 1]
+    # settling at the end of advance still counts that request, once
+    assert (cluster.successes, cluster.failures) == (1, 0)
+    assert [len(vm.jobs) for vm in cluster.vms.values()] == [2, 2, 1]
+    assert cluster.vms[2].served == pytest.approx(0.5)
+
+
 def test_dispatch_prefers_idle_higher_id_over_busy_lower_id():
     cluster = Cluster(SimConfig())
     cluster.launch_vm(0.0, initial=True)
