@@ -29,6 +29,8 @@ from .policies import (
 from .sim import SimConfig, Simulation, SimulationResult
 from .workload import (
     RateProfile,
+    TraceParseError,
+    TraceValidationError,
     WorkloadTrace,
     default_profile,
     generate_trace,
@@ -158,13 +160,16 @@ class ExperimentReport:
 
 
 def build_workload(config: ExperimentConfig) -> WorkloadTrace:
-    """Materialize the configured workload source."""
+    """Materialize the configured workload source.  A trace file that cannot
+    be read or decoded, or holds a bad line, is a ConfigError naming it."""
     if config.trace_path is not None:
         try:
             with open(config.trace_path, encoding="utf-8") as fh:
                 return parse_trace(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read trace {config.trace_path}: {exc}") from exc
+        except (TraceParseError, TraceValidationError) as exc:
+            raise ConfigError(f"{config.trace_path}: {exc}") from exc
     assert config.profile is not None
     return generate_trace(config.profile, config.horizon, derive_seed(config.seed, "workload"))
 

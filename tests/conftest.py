@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import copy
+import io
 import math
 import random
 from bisect import bisect_right
@@ -13,7 +14,12 @@ import pytest
 
 from elastidebt.policies import ACTION_ORDER, Action
 from elastidebt.sim import Checkpoint, Cluster, ClusterObservation, SimConfig
-from elastidebt.workload import RateProfile, WorkloadTrace
+from elastidebt.workload import (
+    RateProfile,
+    TraceParseError,
+    TraceValidationError,
+    WorkloadTrace,
+)
 
 
 def make_obs(
@@ -162,6 +168,34 @@ def reference_poisson_arrivals(profile: RateProfile, duration: float, seed: int)
         if t <= duration:
             times.append(t)
     return times
+
+
+def reference_parse(source) -> WorkloadTrace:
+    """``parse_trace`` one line at a time: split each line on whitespace,
+    skip blanks and comments, convert and range-check both fields, then
+    sort the columns by a stable sort of the arrivals."""
+    lines = io.StringIO(source, newline=None) if isinstance(source, str) else source
+    arrivals, work = [], []
+    for lineno, raw in enumerate(lines, start=1):
+        fields = raw.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        if len(fields) != 2:
+            raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(fields)}")
+        try:
+            arrival, w = float(fields[0]), float(fields[1])
+        except ValueError:
+            raise TraceParseError(f"line {lineno}: non-numeric field in {raw.strip()!r}") from None
+        if not 0.0 <= arrival < math.inf:
+            raise TraceValidationError(
+                f"line {lineno}: arrival time must be non-negative and finite, got {arrival}"
+            )
+        if not 0.0 < w < math.inf:
+            raise TraceValidationError(f"line {lineno}: work must be positive and finite, got {w}")
+        arrivals.append(arrival)
+        work.append(w)
+    order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
+    return WorkloadTrace([arrivals[i] for i in order], [work[i] for i in order])
 
 
 def oracle_cycles(vm, t: float, cycle: float, close: bool = False) -> int:

@@ -13,6 +13,7 @@ from elastidebt.experiment import (
     ExperimentReport,
     ReportTotals,
     WindowRow,
+    build_workload,
     compare,
     default_config,
     derive_seed,
@@ -24,7 +25,13 @@ from elastidebt.experiment import (
 )
 from elastidebt.policies import LearningParams, VotingParams
 from elastidebt.sim import SimConfig, Simulation
-from elastidebt.workload import RateProfile, Segment, load_profile
+from elastidebt.workload import (
+    RateProfile,
+    Segment,
+    TraceParseError,
+    TraceValidationError,
+    load_profile,
+)
 
 
 def quick_config(seed=0, policy="voting", horizon=1200.0):
@@ -631,6 +638,37 @@ def test_cli_rejects_bad_trace_path(tmp_path, capsys):
     ])
     assert rc == 1
     assert not (tmp_path / "nope_out").exists()
+
+
+@pytest.mark.parametrize(
+    "content, message, cause",
+    [
+        (b"0.5 2\n1.0\n", "{}: line 2: expected 2 fields, got 1", TraceParseError),
+        (
+            b"0.5 2\n1.0 -2\n",
+            "{}: line 2: work must be positive and finite, got -2.0",
+            TraceValidationError,
+        ),
+        (
+            b"\xff0.5 2\n",
+            "cannot read trace {}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+            UnicodeDecodeError,
+        ),
+    ],
+    ids=["parse", "validation", "decode"],
+)
+def test_cli_trace_errors_name_the_file(tmp_path, capsys, content, message, cause):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(content)
+    cfg = write_cli_config(tmp_path)
+    out = tmp_path / "never"
+    assert cli_main(["run", "--config", str(cfg), "--trace", str(trace), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message.format(trace)}\n"
+    with pytest.raises(ConfigError) as info:
+        build_workload(ExperimentConfig(trace_path=str(trace)))
+    assert type(info.value.__cause__) is cause
 
 
 def test_cli_gen_trace_round_trip(tmp_path, capsys):

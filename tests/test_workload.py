@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import FixedPolicy, reference_poisson_arrivals, reference_rate_at
+from conftest import FixedPolicy, reference_parse, reference_poisson_arrivals, reference_rate_at
 import elastidebt
 from elastidebt import workload
 from elastidebt.policies import DebtAwarePolicy
@@ -550,6 +550,84 @@ def test_parse_splits_a_string_as_a_file(sep, tmp_path):
 def test_parse_accepts_file_objects():
     trace = parse_trace(io.StringIO("0.25 1\n"))
     assert len(trace.requests) == 1
+
+
+def parse_outcome(parse, lines):
+    """The columns ``parse`` gives, as hex so -0.0 and 0.0 differ, or the
+    type and message of the error it raises."""
+    try:
+        trace = parse(lines)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return [a.hex() for a in trace.arrivals], [w.hex() for w in trace.work]
+
+
+# numerals float() rejects, or whose values fail the range checks, and
+# 1e308, two of which in one chunk overflow its sum
+_ODD_NUMERALS = ["0", "-0.0", "-1", "nan", "inf", "-inf", "1e308", "1_0", "x", "#", "1e"]
+# one space weighs most, so many chunks are single-spaced throughout
+_SEPARATORS = [" "] * 6 + ["\t", "  ", "\x0c", "\x1c", "\u3000"]
+_PADS = [""] * 6 + [" ", "\t", "\x0c", "\x1c"]
+_ENDS = ["\n"] * 3 + ["\r\n", ""]
+
+
+@st.composite
+def trace_lines(draw):
+    """A trace line: two valid fields and one space, one to three padded
+    fields, a comment or a blank."""
+    kind = draw(st.sampled_from(["canonical"] * 4 + ["fields"] * 4 + ["comment", "blank"]))
+    if kind == "canonical":
+        arrival, work = draw(st.tuples(st.floats(0.0, 1e6), st.floats(0.0, 1e6, exclude_min=True)))
+        body = f"{arrival!r} {work!r}"
+    elif kind == "comment":
+        body = draw(st.sampled_from(["# header", "#1 2", "#", "  # 1 2"]))
+    elif kind == "blank":
+        body = draw(st.sampled_from(["", " ", "\t", "\x0c"]))
+    else:
+        numeral = st.one_of(
+            st.floats(0.0, 1e6, exclude_min=True).map(repr),
+            st.integers(1, 99).map(str),
+            st.sampled_from(_ODD_NUMERALS),
+        )
+        body = draw(numeral)
+        for _ in range(draw(st.sampled_from([1, 1, 1, 1, 0, 2]))):
+            body += draw(st.sampled_from(_SEPARATORS)) + draw(numeral)
+        body = draw(st.sampled_from(_PADS)) + body + draw(st.sampled_from(_PADS))
+    return body + draw(st.sampled_from(_ENDS))
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(trace_lines(), max_size=8))
+def test_parse_matches_the_line_by_line_reference(chunk, lines):
+    # chunks of 1-3 lines put single-spaced chunks next to ones that are not
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workload, "_PARSE_CHUNK", chunk)
+        assert parse_outcome(parse_trace, lines) == parse_outcome(reference_parse, lines)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+def test_parse_accepts_bytes_lines(chunk, monkeypatch):
+    monkeypatch.setattr(workload, "_PARSE_CHUNK", chunk)
+    lines = [b"0.5 2\n", b"1.0 3\n", "2.0 4\n", b"\n", b"0.25\t1\r\n"]
+    trace = parse_trace(lines)
+    assert trace.arrivals == [0.25, 0.5, 1.0, 2.0]
+    assert trace.work == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(TraceParseError, match=r"line 2: non-numeric field in b'x 2'"):
+        parse_trace([b"0.5 2\n", b"x 2\n"])
+
+
+def test_parse_reports_a_bad_line_read_before_the_source_fails():
+    # the lines a chunk holds when the source raises are parsed first, so
+    # a bad line still wins over a failure that comes after it
+    def source(*lines):
+        yield from lines
+        raise UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")
+
+    with pytest.raises(TraceValidationError, match="line 2: arrival time"):
+        parse_trace(source("0.5 2\n", "-1 2\n", "1.0 2\n"))
+    with pytest.raises(UnicodeDecodeError):
+        parse_trace(source("0.5 2\n", "1.0 2\n"))
 
 
 def test_serialize_parse_round_trip_is_exact():
