@@ -17,7 +17,7 @@ from elastidebt import (
 flat = RateProfile(segments=[Segment(0.0, 60.0, base_rate=2.0)], arrival_mode="deterministic")
 trace = generate_trace(flat, 10.0, seed=0)
 print("deterministic 2 req/s for 10 s ->", len(trace), "arrivals")
-print("  first five:", trace.arrivals[:5])
+print("  first five:", trace.arrivals[:5].tolist())
 
 flat.arrival_mode = "poisson"
 for seed in (1, 2):

@@ -1,9 +1,9 @@
 """Synthetic request-arrival traces and trace-file parsing.
 
-A trace is two float columns, each request's arrival time and its compute
-work in millions of instructions (MI).  Traces are produced either from a
-piecewise-sinusoidal rate profile (deterministic or Poisson arrivals) or
-parsed from a two-column text file.
+A trace is two columns of packed doubles, each request's arrival time and
+its compute work in millions of instructions (MI).  Traces are produced
+either from a piecewise-sinusoidal rate profile (deterministic or Poisson
+arrivals) or parsed from a two-column text file.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import io
 import math
 import random
+from array import array
 from bisect import bisect_left
 from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ _SERIALIZE_CHUNK = 8192
 # lines per chunk read by parse_trace; chunks of 1024-4096 lines parse no
 # faster and left a higher peak RSS in a 3 h trace-file run
 _PARSE_CHUNK = 512
+# a comment's first character in a str line, its first byte in a bytes line
+_COMMENT = ("#", ord("#"))
 
 
 class TraceParseError(ValueError):
@@ -78,12 +81,22 @@ class RequestView:
 @dataclass(frozen=True)
 class WorkloadTrace:
     """A trace as columns: request i arrives at ``arrivals[i]`` with
-    ``work[i]`` MI.  Arrivals are non-decreasing."""
+    ``work[i]`` MI.  Arrivals are non-decreasing.
 
-    arrivals: list[float]
-    work: list[float]
+    Each column is an ``array('d')``, 8 bytes a value.  Any other sequence
+    of numbers is converted; a ``'d'`` array is kept as it is, not copied,
+    so traces built from another's columns share them.
+    """
+
+    arrivals: array[float]
+    work: array[float]
 
     def __post_init__(self) -> None:
+        for name in ("arrivals", "work"):
+            column = getattr(self, name)
+            if not (isinstance(column, array) and column.typecode == "d"):
+                # through iter(), so bytes are numbers, not raw doubles
+                object.__setattr__(self, name, array("d", iter(column)))
         if len(self.arrivals) != len(self.work):
             raise ValueError(
                 f"{len(self.arrivals)} arrival times but {len(self.work)} work values"
@@ -229,10 +242,10 @@ def generate_trace(profile: RateProfile, duration: float, seed: int) -> Workload
     else:
         times = _poisson_arrivals(profile, duration, seed)
 
-    return WorkloadTrace(times, [profile.work_mi] * len(times))
+    return WorkloadTrace(times, array("d", [profile.work_mi]) * len(times))
 
 
-def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float]:
+def _deterministic_arrivals(profile: RateProfile, duration: float) -> array[float]:
     last = int(math.ceil(duration / _GRID_DT))
     step = duration / last
     # every rate past the profile's end is 0 and cum is flat there, so the grid
@@ -259,7 +272,7 @@ def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float
     # point j with cum[j] <= k and the next (an exact hit gives grid[j]); a
     # flat (zero-rate) span resolves to its last point, the tail past the
     # grid to the duration.  The targets ascend, so one walk finds every j.
-    times: list[float] = []
+    times = array("d")
     j = 0
     for k in map(float, range(1, int(math.floor(cum[-1] + 1e-9)) + 1)):
         while j < top and cum[j + 1] <= k:
@@ -273,23 +286,30 @@ def _deterministic_arrivals(profile: RateProfile, duration: float) -> list[float
     return times
 
 
-def _poisson_arrivals(profile: RateProfile, duration: float, seed: int) -> list[float]:
-    draw = random.Random(seed).expovariate
-    times: list[float] = []
+def _poisson_arrivals(profile: RateProfile, duration: float, seed: int) -> array[float]:
+    # Segment.rate and Random.expovariate written out, the same operations in
+    # the same order, so each arrival keeps its bits
+    rand = random.Random(seed).random
+    log, sin, tau = math.log, math.sin, math.tau
+    times = array("d")
+    add = times.append
     t = 0.0
     while t <= duration:
         seg, until = profile._span_at(t)
         if seg is None and until == math.inf:
             break  # past every segment: no later rate is positive
-        rate = (lambda _: 0.0) if seg is None else seg.rate
+        if seg is None:
+            base, amp, period = 0.0, 0.0, 1.0
+        else:
+            base, amp, period = seg.base_rate, seg.amplitude, seg.period
         end = min(until, duration)
         # the rate at t is read at least once: a span may hold t alone
         while True:
-            r = rate(t)
+            r = base + amp * sin(tau * t / period)
             if r > 0.0:
-                t += draw(r)
+                t += -log(1.0 - rand()) / r
                 if t <= duration:
-                    times.append(t)
+                    add(t)
             else:
                 t += _ZERO_RATE_SCAN
             if not t < end:
@@ -314,8 +334,8 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
     """
     lines = iter(io.StringIO(source, newline=None) if isinstance(source, str) else source)
 
-    arrivals: list[float] = []
-    work: list[float] = []
+    arrivals = array("d")
+    work = array("d")
     lineno = 1
     while True:
         chunk: list = []
@@ -335,12 +355,12 @@ def parse_trace(source: Union[str, IO[str], Iterable[str]]) -> WorkloadTrace:
     if first_out_of_order(arrivals) is not None:
         # a stable sort: equal arrivals keep file order
         order = sorted(range(len(arrivals)), key=arrivals.__getitem__)
-        arrivals = [arrivals[i] for i in order]
-        work = [work[i] for i in order]
+        arrivals = array("d", map(arrivals.__getitem__, order))
+        work = array("d", map(work.__getitem__, order))
     return WorkloadTrace(arrivals, work)
 
 
-def _parse_single_spaced(chunk: list, arrivals: list[float], work: list[float]) -> bool:
+def _parse_single_spaced(chunk: list, arrivals: array[float], work: array[float]) -> bool:
     """Append a chunk of lines to the columns in C passes, when every line
     holds exactly one space and ``_parse_lines`` would accept each with the
     same two values; else append nothing and return False.
@@ -368,13 +388,13 @@ def _parse_single_spaced(chunk: list, arrivals: list[float], work: list[float]) 
         and min(new_work) > 0.0
     ):
         return False
-    arrivals += new_arrivals
-    work += new_work
+    arrivals.fromlist(new_arrivals)
+    work.fromlist(new_work)
     return True
 
 
 def _parse_lines(
-    lines: Iterable, first_lineno: int, arrivals: list[float], work: list[float]
+    lines: Iterable, first_lineno: int, arrivals: array[float], work: array[float]
 ) -> None:
     """Append lines to the columns one at a time, numbering them from
     ``first_lineno``; the first bad line raises with its number."""
@@ -384,7 +404,7 @@ def _parse_lines(
         # split() drops the same whitespace strip() does, so a line is blank
         # or a comment exactly when it has no fields or its first starts with #
         fields = raw.split()
-        if not fields or fields[0][0] == "#":
+        if not fields or fields[0][0] in _COMMENT:
             continue
         if len(fields) != 2:
             raise TraceParseError(f"line {lineno}: expected 2 fields, got {len(fields)}")

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -137,7 +138,7 @@ def deterministic_cases(draw):
 @given(deterministic_cases())
 def test_deterministic_arrivals_match_numpy_reference(case):
     profile, duration = case
-    assert workload._deterministic_arrivals(profile, duration) == (
+    assert workload._deterministic_arrivals(profile, duration).tolist() == (
         reference_deterministic_arrivals(profile, duration)
     )
 
@@ -154,7 +155,7 @@ def test_deterministic_exact_crossings_resolve_like_numpy():
         ],
         arrival_mode="deterministic",
     )
-    times = workload._deterministic_arrivals(profile, 8 * EXACT_STEP)
+    times = workload._deterministic_arrivals(profile, 8 * EXACT_STEP).tolist()
     assert times == reference_deterministic_arrivals(profile, 8 * EXACT_STEP)
     assert len(times) == 36
     assert times[20] == 5 * EXACT_STEP
@@ -164,7 +165,7 @@ def test_deterministic_exact_crossings_resolve_like_numpy():
     # the last segment's rate holds at its end, so cum climbs to 39 over the
     # next step and stays there; arrival 39 takes the last point of that
     # flat tail: the duration
-    longer = workload._deterministic_arrivals(profile, 12 * EXACT_STEP)
+    longer = workload._deterministic_arrivals(profile, 12 * EXACT_STEP).tolist()
     assert longer == reference_deterministic_arrivals(profile, 12 * EXACT_STEP)
     assert longer[:36] == times
     assert longer[36:] == [25 / 64, 26 / 64, 12 * EXACT_STEP]
@@ -173,7 +174,7 @@ def test_deterministic_exact_crossings_resolve_like_numpy():
 def test_deterministic_default_profile_matches_numpy_reference():
     profile = default_profile()
     profile.arrival_mode = "deterministic"
-    times = generate_trace(profile, 21600.0, seed=0).arrivals
+    times = generate_trace(profile, 21600.0, seed=0).arrivals.tolist()
     assert len(times) == 489599
     assert times == reference_deterministic_arrivals(profile, 21600.0)
 
@@ -234,10 +235,10 @@ def test_generators_and_rate_at_match_the_segment_scan(profile, data):
         "duration",
     )
     seed = data.draw(st.integers(0, 2**32), "seed")
-    assert workload._poisson_arrivals(profile, duration, seed) == reference_poisson_arrivals(
-        profile, duration, seed
+    assert workload._poisson_arrivals(profile, duration, seed).tolist() == (
+        reference_poisson_arrivals(profile, duration, seed)
     )
-    assert workload._deterministic_arrivals(profile, duration) == (
+    assert workload._deterministic_arrivals(profile, duration).tolist() == (
         reference_deterministic_arrivals(profile, duration)
     )
     edges = [x for seg in segs for x in (seg.start, seg.end)]
@@ -399,19 +400,19 @@ def test_parse_sorts_out_of_order_lines():
     assert [r.arrival_time for r in trace.requests] == [1.0, 2.0, 3.0]
     assert [r.id for r in trace.requests] == [0, 1, 2]
     # work moves with its arrival
-    assert trace.arrivals == [1.0, 2.0, 3.0]
-    assert trace.work == [2.0, 3.0, 1.0]
+    assert trace.arrivals.tolist() == [1.0, 2.0, 3.0]
+    assert trace.work.tolist() == [2.0, 3.0, 1.0]
 
 
 def test_parse_keeps_file_order_of_equal_arrivals():
     # in order: nothing moves
     trace = parse_trace("1.0 5\n1.0 3\n1.0 4\n2.0 1\n")
-    assert trace.arrivals == [1.0, 1.0, 1.0, 2.0]
-    assert trace.work == [5.0, 3.0, 4.0, 1.0]
+    assert trace.arrivals.tolist() == [1.0, 1.0, 1.0, 2.0]
+    assert trace.work.tolist() == [5.0, 3.0, 4.0, 1.0]
     # out of order: the sort is stable, so ties keep their file order
     trace = parse_trace("2.0 1\n1.0 5\n0.5 9\n1.0 3\n2.0 2\n1.0 4\n")
-    assert trace.arrivals == [0.5, 1.0, 1.0, 1.0, 2.0, 2.0]
-    assert trace.work == [9.0, 5.0, 3.0, 4.0, 1.0, 2.0]
+    assert trace.arrivals.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0, 2.0]
+    assert trace.work.tolist() == [9.0, 5.0, 3.0, 4.0, 1.0, 2.0]
 
 
 def test_parse_skips_comments_blanks_and_whitespace():
@@ -426,8 +427,8 @@ def test_parse_skips_comments_blanks_and_whitespace():
         "\n"
     )
     trace = parse_trace(text)
-    assert trace.arrivals == [0.5, 1.5]
-    assert trace.work == [2.0, 4.0]
+    assert trace.arrivals.tolist() == [0.5, 1.5]
+    assert trace.work.tolist() == [2.0, 4.0]
     # a file object yields lines with their endings
     assert parse_trace(io.StringIO(text)) == trace
     assert parse_trace(text.splitlines(keepends=True)) == trace
@@ -483,7 +484,71 @@ def test_requests_view_builds_items_from_the_columns():
     assert trace.requests is view
     assert not hasattr(view, "append") and not hasattr(view, "reverse")
     next(iter(view)).work = 99.0
-    assert trace.work == [2.0, 3.0, 4.0]
+    assert trace.work.tolist() == [2.0, 3.0, 4.0]
+
+
+def _is_packed(trace):
+    return type(trace.arrivals) is array and type(trace.work) is array and (
+        trace.arrivals.typecode == trace.work.typecode == "d"
+    )
+
+
+def test_every_path_gives_packed_double_columns(monkeypatch):
+    profile = default_profile()
+    for mode in ("poisson", "deterministic"):
+        profile.arrival_mode = mode
+        assert _is_packed(generate_trace(profile, 60.0, seed=1)), mode
+    assert _is_packed(generate_trace(constant_profile(0.0), 10.0, seed=1))
+    monkeypatch.setattr(workload, "_PARSE_CHUNK", 2)
+    for name, text in [
+        ("chunk", "0.5 2\n1.0 3\n"),
+        ("lines", "# header\n0.5\t2\n"),
+        ("sort", "1.0 3\n0.5 2\n"),
+        ("empty", ""),
+    ]:
+        assert _is_packed(parse_trace(text)), name
+    assert _is_packed(parse_trace([b"0.5 2\n", b"1.0 3\n"]))
+    # any sequence of numbers is converted, ints and other typecodes too
+    trace = WorkloadTrace([0, 1.5], (2, 3.0))
+    assert _is_packed(trace) and trace.arrivals.tolist() == [0.0, 1.5]
+    assert type(trace.arrivals[0]) is float and trace.work.tolist() == [2.0, 3.0]
+    assert _is_packed(WorkloadTrace(array("f", [0.5]), array("i", [2])))
+    assert WorkloadTrace(bytes(2), b"\x02\x03").work.tolist() == [2.0, 3.0]
+    # a 'd' array is kept as it is, so traces built from one share it
+    arrivals, work = array("d", [0.5, 1.0]), array("d", [2.0, 2.0])
+    trace = WorkloadTrace(arrivals, work)
+    assert trace.arrivals is arrivals and trace.work is work
+    again = WorkloadTrace(trace.arrivals, trace.work)
+    assert again.arrivals is arrivals and again == trace
+
+
+def _held_bytes(make):
+    """The object ``make()`` returns and the bytes still traced once it has."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_trace_columns_hold_under_20_bytes_per_request(tmp_path):
+    # two packed doubles a request and the arrays' spare capacity; boxed
+    # floats in lists held about 41 B generated and 64 B parsed
+    trace, held = _held_bytes(lambda: generate_trace(default_profile(), 3600.0, seed=1))
+    assert len(trace) > 50000
+    assert held / len(trace) <= 20.0
+    path = tmp_path / "trace.txt"
+    path.write_text(serialize_trace(trace), encoding="utf-8")
+
+    def parse_file():
+        with open(path, encoding="utf-8") as fh:
+            return parse_trace(fh)
+
+    parsed, held = _held_bytes(parse_file)
+    assert parsed == trace
+    assert held / len(parsed) <= 20.0
 
 
 def test_trace_columns_must_match_in_length():
@@ -542,7 +607,7 @@ def test_parse_splits_a_string_as_a_file(sep, tmp_path):
         from_file = outcome(fh)
     assert outcome(text) == from_file
     if sep in ("\r", "\r\n"):
-        assert from_file.arrivals == [1.0, 3.0, 5.0]
+        assert from_file.arrivals.tolist() == [1.0, 3.0, 5.0]
     else:
         assert from_file == "TraceParseError: line 2: expected 2 fields, got 4"
 
@@ -611,10 +676,21 @@ def test_parse_accepts_bytes_lines(chunk, monkeypatch):
     monkeypatch.setattr(workload, "_PARSE_CHUNK", chunk)
     lines = [b"0.5 2\n", b"1.0 3\n", "2.0 4\n", b"\n", b"0.25\t1\r\n"]
     trace = parse_trace(lines)
-    assert trace.arrivals == [0.25, 0.5, 1.0, 2.0]
-    assert trace.work == [1.0, 2.0, 3.0, 4.0]
+    assert trace.arrivals.tolist() == [0.25, 0.5, 1.0, 2.0]
+    assert trace.work.tolist() == [1.0, 2.0, 3.0, 4.0]
     with pytest.raises(TraceParseError, match=r"line 2: non-numeric field in b'x 2'"):
         parse_trace([b"0.5 2\n", b"x 2\n"])
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 4096])
+def test_parse_skips_bytes_comments(chunk, monkeypatch):
+    # a bytes line's first field starts with the byte 35, not the str "#"
+    monkeypatch.setattr(workload, "_PARSE_CHUNK", chunk)
+    trace = parse_trace([b"# c\n", b"1 2\n", b"  #1 2\r\n", b"#\n", b"3 4\n"])
+    assert trace.arrivals.tolist() == [1.0, 3.0]
+    assert trace.work.tolist() == [2.0, 4.0]
+    with pytest.raises(TraceParseError, match=r"line 3: non-numeric field in b'x# 2'"):
+        parse_trace([b"# c\n", b"1 2\n", b"x# 2\n"])
 
 
 def test_parse_reports_a_bad_line_read_before_the_source_fails():
