@@ -4,12 +4,17 @@ The package couples a deterministic VM-cluster simulator with two
 autoscaling policies (a threshold-voting baseline and a Q-learning agent
 rewarded with elasticity debts) and an economics engine that values every
 adaptation by counterfactual replay of the discarded actions.
+
+The top level exports the names that a user's code calls or constructs:
+those the README examples, the demos and the CLI use, plus ``Action``,
+``ClusterObservation``, ``AdaptationRecord`` and ``QTable`` for a
+user-written policy or warm start.  Every other name is imported from its
+module, such as ``elastidebt.sim.Checkpoint``.
 """
 
-from .economics import AdaptationRecord, UtilityBreakdown, counterfactual_ideal
+from .economics import AdaptationRecord
 from .experiment import (
     ExperimentConfig,
-    ExperimentReport,
     compare,
     default_config,
     emit_csv,
@@ -17,33 +22,10 @@ from .experiment import (
     paired_experiment,
     run_experiment,
 )
-from .policies import (
-    Action,
-    DebtAwarePolicy,
-    LearningParams,
-    Level,
-    QTable,
-    StateKey,
-    VotingParams,
-    VotingPolicy,
-    allowed_actions,
-    discretize_state,
-    select_action,
-    vm_vote,
-    vote_decision,
-)
-from .sim import (
-    Checkpoint,
-    ClusterObservation,
-    SimConfig,
-    Simulation,
-    SimulationResult,
-    VmInstance,
-    billing_cycles_charged,
-)
+from .policies import Action, DebtAwarePolicy, LearningParams, QTable, VotingPolicy, allowed_actions
+from .sim import ClusterObservation, SimConfig, Simulation
 from .workload import (
     RateProfile,
-    Request,
     Segment,
     WorkloadTrace,
     default_profile,
@@ -56,33 +38,21 @@ from .workload import (
 __all__ = [
     "Action",
     "AdaptationRecord",
-    "Checkpoint",
     "ClusterObservation",
     "DebtAwarePolicy",
     "ExperimentConfig",
-    "ExperimentReport",
     "LearningParams",
-    "Level",
     "QTable",
     "RateProfile",
-    "Request",
     "Segment",
     "SimConfig",
     "Simulation",
-    "SimulationResult",
-    "StateKey",
-    "UtilityBreakdown",
-    "VmInstance",
-    "VotingParams",
     "VotingPolicy",
     "WorkloadTrace",
     "allowed_actions",
-    "billing_cycles_charged",
     "compare",
-    "counterfactual_ideal",
     "default_config",
     "default_profile",
-    "discretize_state",
     "emit_csv",
     "generate_trace",
     "load_config",
@@ -90,10 +60,7 @@ __all__ = [
     "paired_experiment",
     "parse_trace",
     "run_experiment",
-    "select_action",
     "serialize_trace",
-    "vm_vote",
-    "vote_decision",
 ]
 
 __version__ = "0.1.0"

@@ -360,16 +360,19 @@ def emit_csv(report: ExperimentReport, out_dir: str) -> list[str]:
 
 def _read_csv(path: str, kind: str, header: list[str], bad: str) -> list[tuple[int, list[str]]]:
     """The data rows of a CSV whose first row must be ``header`` (else the
-    ConfigError ``bad``), each with its line number; an unreadable file is a
-    ConfigError naming ``kind``."""
+    ConfigError ``bad``), each with its line number; a file that cannot be
+    read or decoded is a ConfigError naming ``kind``, and one the csv module
+    rejects names the line."""
     try:
         with open(path, encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
                 raise ConfigError(f"{path}: {bad}")
             return [(reader.line_num, row) for row in reader]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {kind} {path}: {exc}") from exc
+    except csv.Error as exc:
+        raise ConfigError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def load_qtable(path: str) -> QTable:

@@ -450,7 +450,7 @@ def read_key_values(
     setting are a repeat, however their keys are spelled.  A line without
     ``=``, a repeat, a key ``assign`` does not know (it raises ``KeyError``)
     and a value it rejects (``ValueError``) raise ``error`` with the file
-    and line; so does a file that cannot be read.
+    and line; so does a file that cannot be read or decoded.
     """
     seen: dict[Hashable, int] = {}
     try:
@@ -473,7 +473,7 @@ def read_key_values(
                 if setting in seen:
                     raise error(f"{where}: {key!r} repeats line {seen[setting]}")
                 seen[setting] = lineno
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 

@@ -816,6 +816,48 @@ def test_cli_compare_rejects_non_finite_summary_value(tmp_path, capsys, column, 
     assert f"{bad / 'summary.csv'}:2: bad summary value: {column} must be finite" in captured.err
 
 
+_UNDECODABLE = (
+    "cannot read {kind} {path}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+)
+_OVERSIZED = "{path}:2: field larger than field limit ({limit})"
+
+
+@pytest.mark.parametrize(
+    "kind, header, message",
+    [
+        ("config", None, _UNDECODABLE),
+        ("profile", None, _UNDECODABLE),
+        ("summary", None, _UNDECODABLE),
+        ("qtable", None, _UNDECODABLE),
+        ("summary", ",".join(f.name for f in fields(ReportTotals)), _OVERSIZED),
+        ("qtable", "queued_level,billing_idle_level,action,q,visits", _OVERSIZED),
+    ],
+    ids=["config-decode", "profile-decode", "summary-decode", "qtable-decode", "summary-field", "qtable-field"],
+)
+def test_cli_names_each_file_it_cannot_read(tmp_path, capsys, kind, header, message):
+    # a byte that is not UTF-8, or after the header a field longer than the
+    # csv module's limit, is an error naming the file, not a traceback
+    limit = csv.field_size_limit()
+    content = b"\xff\n" if header is None else f"{header}\n{'x' * (limit + 1)}\n".encode()
+    cfg = write_cli_config(tmp_path)
+    profile, out, run = tmp_path / "profile.cfg", tmp_path / "never", tmp_path / "run"
+    run.mkdir()
+    qtable = run / "qtable.csv"
+    path, argv = {
+        "config": (cfg, ["run", "--config", str(cfg), "--out", str(out)]),
+        "profile": (profile, ["gen-trace", "--profile", str(profile), "--out", str(out)]),
+        "summary": (run / "summary.csv", ["compare", str(run), str(run)]),
+        "qtable": (
+            qtable,
+            ["run", "--config", str(cfg), "--policy", "debt-aware", "--qtable-in", str(qtable), "--out", str(out)],
+        ),
+    }[kind]
+    path.write_bytes(content)
+    assert cli_main(argv) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message.format(kind=kind, path=path, limit=limit)}\n"
+
+
 def test_summary_columns_follow_report_totals(tmp_path):
     totals = totals_stub(utility=1.25, failed=0.125, cost=0.5, debt=-0.25, horizon=900.0)
     report = ExperimentReport(rows=[], totals=totals, wall_clock=0.0)

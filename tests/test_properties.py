@@ -362,6 +362,51 @@ def test_full_run_invariants(run):
         assert per_action == direct_replays(checkpoints[rec.time], per_action, rec.time + span)
 
 
+def rebuilt_utility(cfg, trace, records, candidate, end):
+    """The utility of ``candidate`` taken at the last record's time, up to
+    ``end``, on a cluster rebuilt from t = 0 that takes each earlier record's
+    action at its time: dispatched by ``reference_advance``, billed by
+    ``oracle_cycles`` and never forked."""
+    cluster = Cluster(cfg)
+    for _ in range(cfg.initial_vms):
+        cluster.launch_vm(0.0, initial=True)
+    idx = 0
+    *earlier, last = records
+    for rec in earlier:
+        idx = reference_advance(cluster, rec.time, trace, idx)
+        cluster.apply(rec.action_taken, rec.time)
+    t = last.time
+    idx = reference_advance(cluster, t, trace, idx)
+    before = WindowCounts(cluster.submitted, cluster.successes, cluster.failures, 0)
+    cluster.apply(candidate, t)
+    reference_advance(cluster, end, trace, idx)
+    cycle = cfg.billing_cycle
+    cycles = sum(oracle_cycles(vm, end, cycle) - oracle_cycles(vm, t, cycle) for vm in cluster.vms.values())
+    after = WindowCounts(cluster.submitted, cluster.successes, cluster.failures, cycles)
+    return (after - before).utility(cfg).utility
+
+
+@settings(RUN_SETTINGS, max_examples=200)
+@given(runs())
+def test_per_action_utilities_match_a_rebuilt_run(run):
+    # an oracle that shares no checkpoint, fork or valuation shortcut with
+    # the run: each candidate of each record is valued by running the whole
+    # history again from t = 0
+    cfg, horizon, arrivals, policy = run
+    trace = make_trace(arrivals)
+    result = Simulation(cfg).run(trace, policy, horizon)
+    proactive = isinstance(policy, DebtAwarePolicy)
+    records = []
+    for win in result.windows:
+        rec = win.record
+        if rec is None:
+            continue
+        records.append(rec)
+        end = rec.time + cfg.decision_interval + cfg.billing_cycle if proactive else win.end
+        rebuilt = {a: rebuilt_utility(cfg, trace, records, a, end) for a in rec.candidates}
+        assert rec.per_action_utilities == rebuilt, rec.time
+
+
 @RUN_SETTINGS
 @given(runs())
 def test_ideal_fleet_moves_the_decision_fleet_by_the_ideal_action(run):
