@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("exactly one workload source (profile or trace) is required")
         if self.policy not in ("debt-aware", "voting"):
             raise ConfigError(f"unknown policy {self.policy!r}")
+        if self.policy == "voting" and self.qtable_in is not None:
+            raise ConfigError("qtable_in needs policy debt-aware: a voting run reads no Q table")
         if self.horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {self.horizon}")
 
@@ -433,10 +435,11 @@ def paired_experiment(
 ) -> tuple[ExperimentReport, ExperimentReport]:
     """Run debt-aware and voting on the identical workload for one seed.
 
-    The workload is built once and both runs read the same trace.
+    The workload is built once and both runs read the same trace.  A
+    ``qtable_in`` warm-starts the debt-aware run only.
     """
     debt_cfg = replace(base, policy="debt-aware", seed=seed)
-    vote_cfg = replace(base, policy="voting", seed=seed)
+    vote_cfg = replace(base, policy="voting", seed=seed, qtable_in=None)
     debt_cfg.validate()
     vote_cfg.validate()
     workload = build_workload(debt_cfg)

@@ -14,11 +14,13 @@ import random
 from array import array
 from bisect import bisect_left
 from collections.abc import Hashable, Sequence
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
 from itertools import accumulate, count, islice, repeat
 from operator import contains, le
 from typing import IO, Callable, Iterable, Iterator, Union
+
+from .policies import FIELD_TYPES, check_fields
 
 DEFAULT_WORK_MI = 2.0
 
@@ -180,25 +182,30 @@ class RateProfile:
         return None, until
 
     def validate(self) -> None:
-        # range checks are written so that NaN fails them
+        """Type each field and each segment's by ``check_fields``; check the domain."""
+        check_fields(self, ProfileError)
         if not self.segments:
             raise ProfileError("profile has no segments")
         if self.arrival_mode not in ("deterministic", "poisson"):
-            raise ProfileError(f"unknown arrival_mode {self.arrival_mode!r}")
-        if not 0.0 < self.work_mi < math.inf:
-            raise ProfileError(f"work_mi must be positive and finite, got {self.work_mi}")
+            raise ProfileError(f"arrival_mode must be deterministic or poisson, got {self.arrival_mode!r}")
+        if not self.work_mi > 0.0:
+            raise ProfileError(f"work_mi must be positive, got {self.work_mi}")
         prev_end = None
         for i, seg in enumerate(self.segments):
-            if not -math.inf < seg.start < seg.end < math.inf:
-                raise ProfileError(
-                    f"segment {i} [{seg.start}, {seg.end}] is empty, reversed or not finite"
-                )
+            if not isinstance(seg, Segment):
+                raise ProfileError(f"segments[{i}] must be Segment, got {seg!r}")
+            try:
+                check_fields(seg, ProfileError)
+            except ProfileError as exc:
+                raise ProfileError(f"segment {i} {exc}") from None
+            if not seg.start < seg.end:
+                raise ProfileError(f"segment {i} [{seg.start}, {seg.end}] is empty or reversed")
             for name in ("base_rate", "amplitude"):
                 value = getattr(seg, name)
-                if not 0.0 <= value < math.inf:
-                    raise ProfileError(f"segment {i} {name} must be >= 0 and finite, got {value}")
-            if not 0.0 < seg.period < math.inf:
-                raise ProfileError(f"segment {i} period must be > 0 and finite, got {seg.period}")
+                if not value >= 0.0:
+                    raise ProfileError(f"segment {i} {name} must be >= 0, got {value}")
+            if not seg.period > 0.0:
+                raise ProfileError(f"segment {i} period must be > 0, got {seg.period}")
             if prev_end is not None and not math.isclose(seg.start, prev_end):
                 raise ProfileError(f"segments not contiguous at t={prev_end}")
             prev_end = seg.end
@@ -477,43 +484,39 @@ def read_key_values(
         raise error(f"cannot read {what} {path}: {exc}") from exc
 
 
-_SEGMENT_KEYS = ("start", "end", "base_rate", "amplitude", "period")
-
-
 def load_profile(path: str) -> RateProfile:
     """Read a rate profile from a flat key-value file.
 
     Recognised keys: ``arrival_mode``, ``work_mi`` and per-segment
-    ``segment.<n>.start|end|base_rate|amplitude|period``.  Segments are
-    ordered by their index.
+    ``segment.<n>.start|end|base_rate|amplitude|period``, each parsed by its
+    field's FIELD_TYPES entry.  Segments are ordered by their index.
     """
+    top = {f.name: FIELD_TYPES[f.type][1] for f in fields(RateProfile) if f.type in FIELD_TYPES}
+    per_segment = {f.name: FIELD_TYPES[f.type][1] for f in fields(Segment)}
     settings: dict = {}
     seg_fields: dict[int, dict[str, float]] = {}
 
     def assign(key: str, value: str) -> Hashable:
-        if key == "arrival_mode":
-            settings[key] = value
-        elif key == "work_mi":
-            settings[key] = float(value)
-        else:
-            parts = key.split(".")
-            if len(parts) != 3 or parts[0] != "segment" or parts[2] not in _SEGMENT_KEYS:
-                raise KeyError(key)
-            # segment.1 and segment.01 name one segment
-            index = int(parts[1])
-            seg_fields.setdefault(index, {})[parts[2]] = float(value)
-            return index, parts[2]
-        return key
+        if key in top:
+            settings[key] = top[key](value)
+            return key
+        parts = key.split(".")
+        if len(parts) != 3 or parts[0] != "segment" or parts[2] not in per_segment:
+            raise KeyError(key)
+        # segment.1 and segment.01 name one segment
+        index = int(parts[1])
+        seg_fields.setdefault(index, {})[parts[2]] = per_segment[parts[2]](value)
+        return index, parts[2]
 
     read_key_values(path, "profile", ProfileError, assign)
 
     segments = []
     for idx in sorted(seg_fields):
-        f = seg_fields[idx]
-        for name in ("start", "end", "base_rate"):
-            if name not in f:
-                raise ProfileError(f"{path}: segment {idx} missing {name!r}")
-        segments.append(Segment(**f))
+        given = seg_fields[idx]
+        for f in fields(Segment):
+            if f.default is MISSING and f.name not in given:
+                raise ProfileError(f"{path}: segment {idx} missing {f.name!r}")
+        segments.append(Segment(**given))
 
     profile = RateProfile(segments=segments, **settings)
     profile.validate()

@@ -8,7 +8,10 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines live.
 import hashlib
 import itertools
 import math
+import multiprocessing
+import os
 import random
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -41,11 +44,18 @@ def check(num, name, ok, detail):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
+def _pair(seed):
+    return paired_experiment(default_config(), seed)
+
+
 @pytest.fixture(scope="module")
 def battery():
-    """Ten seeds, both policies, full six-hour default profile."""
-    base = default_config()
-    return {seed: paired_experiment(base, seed) for seed in SEEDS}
+    """Ten seeds, both policies, full six-hour default profile, run in a
+    pool of at most one worker per CPU; results keep seed order, and each
+    report's wall_clock is its run's time in its worker."""
+    workers = min(len(SEEDS), os.cpu_count() or 1)
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+        return dict(zip(SEEDS, pool.map(_pair, SEEDS)))
 
 
 def test_criterion_1_debt_non_positivity(battery):

@@ -1,7 +1,7 @@
 import csv
 import math
 import os
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -21,6 +21,7 @@ from elastidebt.experiment import (
     load_config,
     load_qtable,
     load_summary,
+    paired_experiment,
     run_experiment,
 )
 from elastidebt.policies import LearningParams, VotingParams
@@ -704,6 +705,31 @@ def test_cli_run_with_trace_and_warm_start(tmp_path):
     ])
     assert rc == 0
     assert (out / "qtable.csv").exists()
+
+
+def test_cli_rejects_a_q_table_for_a_voting_run(tmp_path, capsys):
+    cfg = write_cli_config(tmp_path, horizon=600.0)
+    out = tmp_path / "never"
+    rc = cli_main([
+        "run", "--config", str(cfg), "--policy", "voting",
+        "--qtable-in", str(tmp_path / "no-such-qtable.csv"), "--out", str(out),
+    ])
+    assert rc == 1
+    assert not out.exists()
+    assert "qtable_in" in capsys.readouterr().err
+
+
+def test_warm_started_pair_loads_the_table_on_its_debt_aware_side(tmp_path):
+    # a visit count the 600 s run cannot reach by itself marks the loaded row
+    qtable = tmp_path / "qtable.csv"
+    qtable.write_text(
+        "queued_level,billing_idle_level,action,q,visits\nhigh,high,release,-0.5,1000\n"
+    )
+    cfg = replace(quick_config(horizon=600.0), qtable_in=str(qtable))
+    da, vo = paired_experiment(cfg, seed=1)
+    visits = {row[:3]: row[4] for row in da.qtable_rows}
+    assert visits["high", "high", "release"] >= 1000
+    assert vo.totals.policy == "voting" and vo.qtable_rows is None
 
 
 @pytest.mark.parametrize(

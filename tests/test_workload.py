@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 from array import array
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -791,10 +792,10 @@ NAN, INF = math.nan, math.inf
         (Segment(0.0, 10.0, 1.0, amplitude=INF), "amplitude"),
         (Segment(0.0, 10.0, 1.0, period=NAN), "period"),
         (Segment(0.0, 10.0, 1.0, period=INF), "period"),
-        (Segment(NAN, 10.0, 1.0), "not finite"),
-        (Segment(0.0, NAN, 1.0), "not finite"),
-        (Segment(-INF, 10.0, 1.0), "not finite"),
-        (Segment(0.0, INF, 1.0), "not finite"),
+        (Segment(NAN, 10.0, 1.0), "start"),
+        (Segment(0.0, NAN, 1.0), "end"),
+        (Segment(-INF, 10.0, 1.0), "start"),
+        (Segment(0.0, INF, 1.0), "end"),
     ],
 )
 def test_profile_rejects_non_finite_segment_fields(segment, field):
@@ -803,6 +804,27 @@ def test_profile_rejects_non_finite_segment_fields(segment, field):
     # generation validates before it draws anything
     with pytest.raises(ProfileError, match=field):
         generate_trace(RateProfile(segments=[segment]), 10.0, seed=0)
+
+
+@pytest.mark.parametrize("value", [True, "5", None])
+@pytest.mark.parametrize("name", [f.name for f in fields(Segment)])
+def test_profile_rejects_a_badly_typed_segment_field(name, value):
+    # the bad field is in the second segment, so the message must name it
+    segments = [Segment(0.0, 10.0, 1.0), replace(Segment(10.0, 20.0, 1.0), **{name: value})]
+    with pytest.raises(ProfileError, match=f"^segment 1 {name} must be float, got {value!r}$"):
+        RateProfile(segments).validate()
+
+
+@pytest.mark.parametrize("value", [True, "5", None])
+@pytest.mark.parametrize("name", ["work_mi", "arrival_mode"])
+def test_profile_rejects_a_badly_typed_field(name, value):
+    with pytest.raises(ProfileError, match=f"^{name} must be "):
+        replace(constant_profile(1.0), **{name: value}).validate()
+
+
+def test_profile_rejects_a_segment_that_is_not_a_segment():
+    with pytest.raises(ProfileError, match=r"^segments\[1\] must be Segment, got 1.0$"):
+        RateProfile([Segment(0.0, 10.0, 1.0), 1.0]).validate()
 
 
 @pytest.mark.parametrize("work_mi", [NAN, INF, 0.0])
