@@ -15,7 +15,10 @@ already measured it.  Retrospectively, its window is the one the primary
 run just closed.  Proactively, its window runs past the next decision
 point: the primary run's own span up to that point is joined with a
 MAINTAIN fork of the next checkpoint over the rest, by adding raw
-``WindowCounts`` and computing the utility once.
+``WindowCounts`` and computing the utility once.  That fork runs first the
+span the primary run runs next if it maintains; a run that does so adopts
+the fork's state there and adds its counts instead of dispatching the span
+again.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, fields
 from enum import Enum
 from typing import NamedTuple
@@ -64,6 +65,9 @@ FIELD_TYPES = {
 }
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def check_fields(params, error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the first field of the dataclass ``params`` whose
     value its FIELD_TYPES entry does not take, or that is a bool or not finite."""
@@ -72,7 +76,9 @@ def check_fields(params, error: type[ValueError] = ValueError) -> None:
             value = getattr(params, f.name)
             if isinstance(value, bool) or not isinstance(value, FIELD_TYPES[f.type][0]):
                 raise error(f"{f.name} must be {f.type}, got {value!r}")
-            if isinstance(value, (int, float)) and not math.isfinite(value):
+            # an int compares with a float exactly, so one beyond float range
+            # fails here as NaN and the infinities do
+            if isinstance(value, (int, float)) and not -_FLOAT_MAX <= value <= _FLOAT_MAX:
                 raise error(f"{f.name} must be finite, got {value}")
 
 

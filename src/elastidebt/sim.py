@@ -377,6 +377,11 @@ class Checkpoint:
     extending that fork.  When MAINTAIN was taken at k, the paused fork of
     checkpoint k has already run that trajectory past k+1, so ``take_over``
     moves it on to checkpoint k+1 instead of forking again.
+
+    That join's fork first runs the span the run runs next if it
+    maintains at k+1.  The replay keeps the fork as ``ahead`` at the run's
+    next window close and runs on from a ``Cluster.fork`` of it; a run that
+    maintains adopts ``ahead``'s state instead of dispatching that span.
     """
 
     def __init__(self, time: float, cluster: Cluster, trace: WorkloadTrace, arrival_idx: int):
@@ -386,22 +391,33 @@ class Checkpoint:
         self.arrival_idx = arrival_idx
         # fork, arrival index, time, and the fork's counts at the checkpoint
         self._paused: tuple[Cluster, int, float, WindowCounts] | None = None
+        # the MAINTAIN fork kept at the run's next window close, its arrival
+        # index, and its counts since the checkpoint
+        self.ahead: tuple[Cluster, int, WindowCounts] | None = None
         self.vm_snaps = self.cluster.vms.values()  # the VMs it holds, in id order
 
-    def replay(self, action: Action, end: float) -> UtilityBreakdown:
+    def replay(self, action: Action, end: float, close: float | None = None) -> UtilityBreakdown:
         """Utility of ``action`` from the checkpoint to ``end``.
 
         A window that opened before the checkpoint is carried on by
-        counting only its span after the checkpoint.
+        counting only its span after the checkpoint.  A MAINTAIN fork that
+        starts by ``close`` and reaches it is kept there as ``ahead``, and a
+        fork of it, credited with the counts gained so far, runs on.
         """
         paused = self._paused if action is Action.MAINTAIN else None
         if paused is not None and paused[2] <= end:
-            cluster, idx, _, before = paused
+            cluster, idx, start, before = paused
         else:
             cluster = self.cluster.fork(self.time)
             cluster.apply(action, self.time)
-            idx = self.arrival_idx
+            idx, start = self.arrival_idx, self.time
             before = cluster.counts(self.time)
+        if action is Action.MAINTAIN and close is not None and start <= close <= end:
+            idx = cluster.advance(close, self.trace, idx)
+            gained = cluster.counts(close) - before
+            self.ahead = (cluster, idx, gained)
+            cluster = cluster.fork(close)
+            before = cluster.counts(close) - gained
         idx = cluster.advance(end, self.trace, idx)
         if action is Action.MAINTAIN:
             self._paused = (cluster, idx, end, before)
@@ -416,7 +432,8 @@ class Checkpoint:
         checkpoint's MAINTAIN fork, and its counts here are its counts at
         ``earlier`` plus ``measured``.  The fork leaves ``earlier``, whose
         next MAINTAIN replay forks afresh; a fork paused before this
-        checkpoint stays where it is.
+        checkpoint stays where it is.  A fork paused exactly at the run's
+        next window close is kept there as ``ahead`` by the join's replay.
         """
         paused = earlier._paused
         if paused is not None and paused[2] >= self.time:
@@ -475,9 +492,8 @@ def _check_trace(trace: WorkloadTrace, horizon: float) -> None:
                 raise ValueError(f"request {i}: work must be positive and finite, got {w!r}")
 
 
-def _decision_ticks(interval: float, horizon: float):
-    """Decision points ``k * interval`` before the horizon, then the horizon."""
-    k = 1
+def _decision_ticks(interval: float, horizon: float, k: int = 1):
+    """Decision points ``k * interval`` before the horizon, from ``k`` on, then the horizon."""
     while (t := k * interval) < horizon:
         yield t
         k += 1
@@ -532,7 +548,7 @@ class Simulation:
         learns = getattr(policy, "learns", False)
         self._window = cfg.decision_interval + cfg.billing_cycle if learns else None
 
-        for t in _decision_ticks(cfg.decision_interval, horizon):
+        for k, t in enumerate(_decision_ticks(cfg.decision_interval, horizon), 1):
             final = t == horizon
             idx = cluster.advance(t, trace, idx)
             # the cool-down runs from the pending adaptation
@@ -549,8 +565,13 @@ class Simulation:
 
             if record is not None and taken_at is not None:
                 # no replay closes the bill, so the final window's measured
-                # utility is not comparable
-                self._settle(record, taken_at, t, None if final else breakdown, checkpoint)
+                # utility is not comparable; a decision follows, and the
+                # window it opens closes at the first tick a cool-down later
+                close = None
+                if checkpoint is not None:
+                    ticks = _decision_ticks(cfg.decision_interval, horizon, k + 1)
+                    close = next(u for u in ticks if u == horizon or u - t >= cfg.cool_down - _EPS)
+                self._settle(record, taken_at, t, None if final else breakdown, checkpoint, close)
                 if checkpoint is not None:
                     policy.observe_reward(record, obs)
             windows.append(self._window_metrics(win_start, t, breakdown, obs, record, taken_at))
@@ -570,6 +591,11 @@ class Simulation:
             cluster.apply(action, t)
             win_start = t
             snap, marks = self._open_window(t)
+            if checkpoint is not None and checkpoint.ahead is not None:
+                # the kept fork serves this decision only
+                if action is Action.MAINTAIN:
+                    idx = self._adopt(*checkpoint.ahead)
+                checkpoint.ahead = None
 
         return SimulationResult(
             windows=windows,
@@ -587,6 +613,19 @@ class Simulation:
         cluster = self.cluster
         return cluster.counts(t), {vm.id: busy_time(vm, t) for vm in cluster.active.values()}
 
+    def _adopt(self, fork: Cluster, idx: int, gained: WindowCounts) -> int:
+        """Take on the state of ``fork``, which ran the run's own trajectory
+        to the next window close and gained ``gained`` since the checkpoint;
+        returns its arrival index.  Released VMs that the checkpoint's fork
+        left out stay the run's own: nothing changes them."""
+        cluster = self.cluster
+        cluster.vms = {i: fork.vms.get(i, vm) for i, vm in cluster.vms.items()}
+        cluster.active = fork.active
+        cluster.submitted += gained.submitted
+        cluster.successes += gained.successes
+        cluster.failures += gained.failures
+        return idx
+
     def _settle(
         self,
         record: AdaptationRecord,
@@ -594,6 +633,7 @@ class Simulation:
         now: float,
         measured: UtilityBreakdown | None,
         checkpoint: Checkpoint | None,
+        close: float | None,
     ) -> None:
         """Value ``record``'s adaptation, taken at the checkpoint
         ``taken_at``, when its window closes at ``now``.
@@ -603,7 +643,8 @@ class Simulation:
         The taken action is valued from ``measured`` when the valuation
         window ends at ``now``, joined with a MAINTAIN fork of
         ``checkpoint`` when it runs past, and replayed with the other
-        candidates when it ends before.
+        candidates when it ends before.  The join's fork keeps its state at
+        ``close``, the next window's close, as ``checkpoint.ahead``.
         """
         elapsed = now - record.time
         # the window ``run`` fixed, or else the span since the adaptation
@@ -619,7 +660,7 @@ class Simulation:
                 # when MAINTAIN was taken
                 if record.action_taken is Action.MAINTAIN:
                     checkpoint.take_over(taken_at, counts)
-                counts += checkpoint.replay(Action.MAINTAIN, end).counts
+                counts += checkpoint.replay(Action.MAINTAIN, end, close).counts
             known = {record.action_taken: counts.utility(self.config).utility}
         record.per_action_utilities = economics.counterfactual_ideal(taken_at, record.candidates, end, known)
 

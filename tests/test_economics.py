@@ -260,9 +260,9 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
     replays = []
     replay = Checkpoint.replay
 
-    def counting(self, action, end):
+    def counting(self, action, end, *close):
         replays.append(action)
-        return replay(self, action, end)
+        return replay(self, action, end, *close)
 
     forks = []
     cluster_init = Cluster.__init__
@@ -311,9 +311,26 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
     # one replay per candidate: the taken action's is the MAINTAIN fork of
     # the next checkpoint, except in the final window
     assert len(replays) == sum(len(rec.per_action_utilities) for rec in records)
+    # a join's MAINTAIN fork that starts, or resumes, by the run's next
+    # window close and runs through it is kept there for the run to adopt,
+    # and goes on as a fork of itself
+    closes = [rec.time for rec in records[2:]] + [2400.0]
+    ahead = [
+        i
+        for i in joined
+        if (records[i - 1].time + window if i in handed else records[i + 1].time)
+        <= closes[i]
+        <= records[i].time + window
+    ]
+    if "cool_down" in overrides:
+        assert ahead == []
+    else:
+        # both fresh and handed-on forks are kept
+        assert set(ahead) & set(handed) and set(ahead) - set(handed)
     # the primary run builds one cluster and each checkpoint forks one;
-    # each replay forks one more, except a resumed or handed-on MAINTAIN fork
-    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed) - len(handed)
+    # each replay forks one more, except a resumed or handed-on MAINTAIN
+    # fork, and each kept fork one more
+    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed) - len(handed) + len(ahead)
 
     for rec in records:
         per_action = rec.per_action_utilities

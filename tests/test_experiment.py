@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import sys
 from dataclasses import fields, replace
 
 import pytest
@@ -257,6 +258,50 @@ def test_non_finite_parameters_rejected(section, name, value):
     setattr(getattr(cfg, section), name, value)
     with pytest.raises(ValueError, match=name):
         run_experiment(cfg)
+
+
+# every time, rate and price of the simulator is positive
+POSITIVE_SIM_FIELDS = [name for section, name in FLOAT_FIELDS if section == "sim" and name != "sla_target"]
+
+
+@pytest.mark.parametrize("value", [0.0, 0])
+@pytest.mark.parametrize("name", POSITIVE_SIM_FIELDS)
+def test_zero_times_and_prices_rejected(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+        SimConfig(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("target", [0.0, 0, -0.5, 1.5])
+def test_sla_target_outside_the_unit_interval_rejected(target):
+    with pytest.raises(ValueError, match=r"^sla_target must be in \(0, 1\]$"):
+        SimConfig(sla_target=target).validate()
+
+
+def test_sla_target_of_one_accepted():
+    SimConfig(sla_target=1.0).validate()
+
+
+HUGE = "9" * 400
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("key", ["initial_vms", "seed"])
+def test_ints_beyond_float_range_are_not_finite(tmp_path, key, sign):
+    # such an int loads, as int() takes it, and validation names it rather
+    # than overflowing in a float conversion; no fleet is built to see it
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"trace = t.trace\n{key} = {sign}{HUGE}\n")
+    cfg = load_config(str(path))
+    with pytest.raises(ValueError, match=f"^{key} must be finite, got {sign}{HUGE}$"):
+        cfg.validate()
+
+
+def test_ints_up_to_float_range_pass_the_finite_check():
+    cfg = default_config(seed=int(sys.float_info.max))
+    cfg.validate()
+    cfg.seed += 1
+    with pytest.raises(ConfigError, match="^seed must be finite, got "):
+        cfg.validate()
 
 
 @pytest.mark.parametrize(

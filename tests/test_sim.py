@@ -380,6 +380,18 @@ def test_release_victim_prefers_idle_nearest_boundary():
     assert select_release_victim(cluster, 250.0) == b
 
 
+def test_release_victim_counts_a_vm_ready_at_the_decision_as_idle():
+    # launched at 205, the second VM turns ready at 310 with 195 s to its
+    # boundary, nearer than the first VM's 290 s: it is the idle victim
+    cluster = Cluster(SimConfig())
+    first = cluster.launch_vm(0.0, initial=True)
+    second = cluster.launch_vm(205.0)
+    assert cluster.active[second].ready_at == 310.0
+    assert select_release_victim(cluster, 310.0) == second
+    # still pending a moment earlier, it is no idle candidate
+    assert select_release_victim(cluster, 309.5) == first
+
+
 def test_at_ready_anchor_survives_launch_near_horizon():
     # launched at 180 with at_ready anchoring, the VM's anchor (285) lands
     # past the 240 s horizon: it is simply not billed yet, while the initial
@@ -388,6 +400,12 @@ def test_at_ready_anchor_survives_launch_near_horizon():
     result = Simulation(cfg).run(make_trace([]), FixedPolicy(Action.LAUNCH), 240.0)
     assert result.vms_launched == 3
     assert result.counts.cycles == 2
+
+
+@pytest.mark.parametrize("horizon", [0.0, -60.0, float("inf"), float("nan")])
+def test_run_rejects_a_horizon_that_is_not_positive_and_finite(maintain_policy, horizon):
+    with pytest.raises(ValueError, match=r"^horizon must be positive and finite, got "):
+        Simulation(SimConfig()).run(make_trace([]), maintain_policy, horizon)
 
 
 def test_trace_beyond_horizon_rejected(maintain_policy):
@@ -537,6 +555,85 @@ def test_unrecorded_debts_build_no_checkpoints(monkeypatch):
         return [(w.start, w.end, w.breakdown, w.ready_vms) for w in windows]
 
     assert primary(unrecorded.windows) == primary(recorded.windows)
+
+
+class MaintainRuns(FixedPolicy):
+    """Learns, and holds MAINTAIN for runs of one to three decisions between
+    launches and releases, by a script that reads nothing of the run."""
+
+    learns = True
+    SCRIPT = (
+        Action.MAINTAIN, Action.LAUNCH,
+        Action.MAINTAIN, Action.MAINTAIN, Action.RELEASE,
+        Action.MAINTAIN, Action.MAINTAIN, Action.MAINTAIN, Action.RELEASE,
+    )
+
+    def __init__(self):
+        self.turns = 0
+
+    def decide(self, obs):
+        self.turns += 1
+        return self.SCRIPT[(self.turns - 1) % len(self.SCRIPT)]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"sla_mode": "floor", "vm_capacity": 4.0},
+        {"billing_anchor": "at_ready", "decision_interval": 45.0, "billing_cycle": 250.0},
+        {"cool_down": 60.0},
+    ],
+)
+def test_maintaining_run_adopts_its_fork_with_the_same_outcome(overrides):
+    # a run that maintains after a join takes on the state its valuation's
+    # MAINTAIN fork reached at the next window close instead of dispatching
+    # that span; it must measure what the run that records no debts, and so
+    # has no fork ahead, measures itself.  The horizon is no decision tick:
+    # it falls after a cool-down tick past the 15th and last decision, a
+    # MAINTAIN after a RELEASE, whose fresh fork is adopted up to the horizon
+    from elastidebt.workload import default_profile, generate_trace
+
+    cfg = SimConfig(**overrides)
+    interval = cfg.decision_interval
+    gap = interval * math.ceil(cfg.cool_down / interval)
+    last = interval + 14 * gap
+    horizon = last + gap - interval / 2
+    trace = generate_trace(default_profile(), horizon, seed=12)
+
+    def run(record_debt):
+        sim = Simulation(cfg)
+        dispatched = []
+        advance = sim.cluster.advance
+
+        def counting(until, trace, idx):
+            end = advance(until, trace, idx)
+            dispatched.append((until, end - idx))
+            return end
+
+        sim.cluster.advance = counting
+        return sim.run(trace, MaintainRuns(), horizon, record_debt), dispatched
+
+    recorded, dispatched = run(True)
+    unrecorded, direct = run(False)
+
+    def primary(result):
+        windows = [(w.start, w.end, w.breakdown, w.ready_vms) for w in result.windows]
+        records = [(r.time, r.state, r.action_taken, r.candidates) for r in result.records]
+        return windows, records, result.counts, result.in_flight_at_end, result.vms_launched
+
+    assert primary(recorded) == primary(unrecorded)
+    assert len(recorded.records) == 15
+    assert recorded.records[-1].time == last
+    assert recorded.records[-1].action_taken is Action.MAINTAIN
+    assert all(rec.per_action_utilities for rec in recorded.records)
+    # only the run without debts dispatches every arrival itself; the one
+    # with debts dispatched nothing after its last decision
+    assert sum(n for _, n in direct) == len(trace)
+    assert sum(n for _, n in dispatched) < len(trace)
+    assert trace.arrivals[-1] > last
+    after = [until for until, _ in direct if until > last]
+    assert [until for until, n in dispatched if until > last and n == 0] == after
 
 
 class RewardLog(FixedPolicy):
