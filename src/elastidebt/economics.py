@@ -6,19 +6,13 @@ penalties minus VM cycle charges, priced once from its raw
 adaptation is the (non-positive) gap between the utility its window actually
 produced and the best utility any of the candidate actions would have
 produced, found by replaying the window from a checkpoint under each
-discarded action up to the window's end.  ``counterfactual_ideal`` returns
+candidate action up to the window's end.  ``counterfactual_ideal`` returns
 each candidate's utility, and an ``AdaptationRecord`` reads the taken
 action's utility, the best one and the debt from them.
 
-The action the primary run took is not replayed where the primary run has
-already measured it.  Retrospectively, its window is the one the primary
-run just closed.  Proactively, its window runs past the next decision
-point: the primary run's own span up to that point is joined with a
-MAINTAIN fork of the next checkpoint over the rest, by adding raw
-``WindowCounts`` and computing the utility once.  That fork runs first the
-span the primary run runs next if it maintains; a run that does so adopts
-the fork's state there and adds its counts instead of dispatching the span
-again.
+The taken action is replayed as well, right after the decision: its replay
+runs the run's own future, which the run then takes on instead of
+dispatching it again (see ``sim.Checkpoint``).
 """
 
 from __future__ import annotations
@@ -132,24 +126,19 @@ def counterfactual_ideal(
     checkpoint,
     candidate_actions: tuple[Action, ...],
     end: float,
-    measured: dict[Action, float] | None = None,
 ) -> dict[Action, float]:
-    """Each candidate action's utility over the window ending at ``end``.
+    """Each candidate action's utility over the window ending at ``end``,
+    the one valuation of a checkpoint's candidates.
 
     ``checkpoint`` must expose ``replay(action, end) -> UtilityBreakdown``
     over a private clone of the simulator state, so the primary run is never
-    perturbed.  Candidates whose window utility is already ``measured`` take
-    that value and are not replayed: the action the primary run took, valued
-    from the window it just ran (retrospective) or from that window joined
-    with a MAINTAIN fork of the next checkpoint (proactive).  A checkpoint
-    resumes the MAINTAIN fork it ran for the previous adaptation when
-    MAINTAIN is replayed here, so that candidate costs only the extension.
+    perturbed.  Every candidate is replayed, the action the run took
+    included: its replay is the run's own future.
     """
     if not candidate_actions:
         raise ValueError("candidate action set is empty")
-    measured = measured or {}
     return {
-        action: measured[action] if action in measured else checkpoint.replay(action, end).utility
+        action: checkpoint.replay(action, end).utility
         for action in ACTION_ORDER
         if action in candidate_actions
     }

@@ -28,6 +28,7 @@ from .policies import (
 )
 from .sim import SimConfig, Simulation, SimulationResult
 from .workload import (
+    READ_ENCODING,
     RateProfile,
     TraceParseError,
     TraceValidationError,
@@ -166,7 +167,7 @@ def build_workload(config: ExperimentConfig) -> WorkloadTrace:
     be read or decoded, or holds a bad line, is a ConfigError naming it."""
     if config.trace_path is not None:
         try:
-            with open(config.trace_path, encoding="utf-8") as fh:
+            with open(config.trace_path, encoding=READ_ENCODING) as fh:
                 return parse_trace(fh)
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read trace {config.trace_path}: {exc}") from exc
@@ -366,7 +367,7 @@ def _read_csv(path: str, kind: str, header: list[str], bad: str) -> list[tuple[i
     read or decoded is a ConfigError naming ``kind``, and one the csv module
     rejects names the line."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding=READ_ENCODING, newline="") as fh:
             reader = csv.reader(fh)
             if next(reader, None) != header:
                 raise ConfigError(f"{path}: {bad}")

@@ -219,6 +219,7 @@ class Cluster:
         self.submitted = 0
         self.successes = 0
         self.failures = 0
+        self.dropped_cycles = 0
         self._capacity = config.vm_capacity
         self._sla_limit = config.sla_response_limit - _EPS
 
@@ -259,17 +260,21 @@ class Cluster:
                 self.release_vm(victim, now)
 
     def fork(self, t: float) -> Cluster:
-        """An independent copy of the cluster at ``t``: the same config and
-        next VM id, zeroed counters and a clone of every VM, except released
-        VMs with no work left and no cycle still owed after ``t``, which
-        cannot change any count from ``t`` on."""
+        """An independent copy of the cluster at ``t``: the same config, next
+        VM id and counters, and a clone of every VM except released VMs with
+        no work left and no cycle still owed after ``t``.  Those cannot
+        change any count from ``t`` on, so the copy keeps only the cycles
+        they were charged, in ``dropped_cycles``."""
         fork = Cluster(self.config)
         fork.next_vm_id = self.next_vm_id
+        fork.submitted, fork.successes, fork.failures = self.submitted, self.successes, self.failures
+        fork.dropped_cycles = self.dropped_cycles
         cycle = self.config.billing_cycle
         for vm in self.vms.values():
             if vm.released_at is not None and not vm.jobs and vm.anchor <= t:
                 owed = billing_cycles_charged(vm, _INF, cycle, close=False)
                 if billing_cycles_charged(vm, t, cycle, close=False) == owed:
+                    fork.dropped_cycles += owed
                     continue
             clone = fork.vms[vm.id] = vm.clone()
             if clone.released_at is None:
@@ -283,7 +288,7 @@ class Cluster:
         """Requests submitted and counted so far, and billing cycles charged
         by ``t`` (every started one when ``t`` closes the bill)."""
         cycle = self.config.billing_cycle
-        charged = sum(
+        charged = self.dropped_cycles + sum(
             billing_cycles_charged(vm, t, cycle, close) for vm in self.vms.values() if vm.anchor <= t
         )
         return WindowCounts(self.submitted, self.successes, self.failures, charged)
@@ -363,25 +368,21 @@ class Checkpoint:
     into a private cluster, applies one candidate action, runs it with no
     further adaptations to the window's end and returns the utility of the
     span from the checkpoint to that end.  The trace is shared read-only;
-    nothing in the primary run is modified.  The span is charged the cycles
-    the fork's VMs are charged by its end less those they were charged by
-    the checkpoint, which earlier windows paid.
+    nothing in the primary run is modified.  A fork carries the run's
+    counters, so the span's counts are the fork's counts at its end less
+    the checkpoint's.
 
-    The last MAINTAIN fork stays paused where its replay stopped, and a
-    later MAINTAIN replay that runs at least as far resumes it.  Advancing
-    in steps gives the same counts as advancing at once, so a replay's
-    result never depends on earlier calls.  Proactive valuation relies on
-    this: the checkpoint at decision k+1 first runs MAINTAIN to the end of
-    adaptation k's window, which joined with the primary run's window
-    values the action taken at k; adaptation k+1 then values MAINTAIN by
-    extending that fork.  When MAINTAIN was taken at k, the paused fork of
-    checkpoint k has already run that trajectory past k+1, so ``take_over``
-    moves it on to checkpoint k+1 instead of forking again.
-
-    That join's fork first runs the span the run runs next if it
-    maintains at k+1.  The replay keeps the fork as ``ahead`` at the run's
-    next window close and runs on from a ``Cluster.fork`` of it; a run that
-    maintains adopts ``ahead``'s state instead of dispatching that span.
+    The run hands two things to the checkpoint before valuing it.
+    ``future`` holds the action it takes here, the decision points after
+    this one and a list: the replay of that action is the run's own
+    future, so it puts its state at each of those points that it passes
+    in the list, each ``(time, cluster, arrival index)``, and goes on from
+    a fork of it; where it stops, it puts itself.  ``maintain`` is where
+    the run's previous taken replay stopped, past this checkpoint: with no
+    adaptation since, it is MAINTAIN from here, and a MAINTAIN replay that
+    runs at least as far goes on from it instead of forking.  Each is used
+    once, and advancing in steps gives the same counts as advancing at
+    once, so a replay's result never depends on earlier calls.
     """
 
     def __init__(self, time: float, cluster: Cluster, trace: WorkloadTrace, arrival_idx: int):
@@ -389,57 +390,34 @@ class Checkpoint:
         self.cluster = cluster.fork(time)
         self.trace = trace
         self.arrival_idx = arrival_idx
-        # fork, arrival index, time, and the fork's counts at the checkpoint
-        self._paused: tuple[Cluster, int, float, WindowCounts] | None = None
-        # the MAINTAIN fork kept at the run's next window close, its arrival
-        # index, and its counts since the checkpoint
-        self.ahead: tuple[Cluster, int, WindowCounts] | None = None
+        self.future: tuple[Action, list[float], list[tuple[float, Cluster, int]]] | None = None
+        self.maintain: tuple[float, Cluster, int] | None = None
         self.vm_snaps = self.cluster.vms.values()  # the VMs it holds, in id order
 
-    def replay(self, action: Action, end: float, close: float | None = None) -> UtilityBreakdown:
-        """Utility of ``action`` from the checkpoint to ``end``.
-
-        A window that opened before the checkpoint is carried on by
-        counting only its span after the checkpoint.  A MAINTAIN fork that
-        starts by ``close`` and reaches it is kept there as ``ahead``, and a
-        fork of it, credited with the counts gained so far, runs on.
-        """
-        paused = self._paused if action is Action.MAINTAIN else None
-        if paused is not None and paused[2] <= end:
-            cluster, idx, start, before = paused
+    def replay(self, action: Action, end: float) -> UtilityBreakdown:
+        """Utility of ``action`` from the checkpoint to ``end``."""
+        fork = self.maintain if action is Action.MAINTAIN else None
+        if fork is not None and fork[0] <= end:
+            self.maintain = None
+            start, cluster, idx = fork
         else:
-            cluster = self.cluster.fork(self.time)
-            cluster.apply(action, self.time)
-            idx, start = self.arrival_idx, self.time
-            before = cluster.counts(self.time)
-        if action is Action.MAINTAIN and close is not None and start <= close <= end:
-            idx = cluster.advance(close, self.trace, idx)
-            gained = cluster.counts(close) - before
-            self.ahead = (cluster, idx, gained)
-            cluster = cluster.fork(close)
-            before = cluster.counts(close) - gained
+            start, cluster, idx = self.time, self.cluster.fork(self.time), self.arrival_idx
+            cluster.apply(action, start)
+        path = None
+        if self.future is not None and self.future[0] is action:
+            _, stops, path = self.future
+            self.future = None
+            for stop in stops:
+                if stop >= end:
+                    break
+                if stop >= start:
+                    idx = cluster.advance(stop, self.trace, idx)
+                    path.append((stop, cluster, idx))
+                    cluster = cluster.fork(stop)
         idx = cluster.advance(end, self.trace, idx)
-        if action is Action.MAINTAIN:
-            self._paused = (cluster, idx, end, before)
-        return (cluster.counts(end) - before).utility(self.cluster.config)
-
-    def take_over(self, earlier: Checkpoint, measured: WindowCounts) -> None:
-        """Carry on ``earlier``'s paused MAINTAIN fork as this checkpoint's.
-
-        The run must have held MAINTAIN from ``earlier`` to this checkpoint,
-        and ``measured`` count that span.  A fork paused at or past this
-        checkpoint then ran the run's own trajectory, so it is this
-        checkpoint's MAINTAIN fork, and its counts here are its counts at
-        ``earlier`` plus ``measured``.  The fork leaves ``earlier``, whose
-        next MAINTAIN replay forks afresh; a fork paused before this
-        checkpoint stays where it is.  A fork paused exactly at the run's
-        next window close is kept there as ``ahead`` by the join's replay.
-        """
-        paused = earlier._paused
-        if paused is not None and paused[2] >= self.time:
-            cluster, idx, end, before = paused
-            self._paused = (cluster, idx, end, before + measured)
-            earlier._paused = None
+        if path is not None:
+            path.append((end, cluster, idx))
+        return (cluster.counts(end) - self.cluster.counts(self.time)).utility(self.cluster.config)
 
 
 @dataclass
@@ -492,12 +470,17 @@ def _check_trace(trace: WorkloadTrace, horizon: float) -> None:
                 raise ValueError(f"request {i}: work must be positive and finite, got {w!r}")
 
 
-def _decision_ticks(interval: float, horizon: float, k: int = 1):
-    """Decision points ``k * interval`` before the horizon, from ``k`` on, then the horizon."""
-    while (t := k * interval) < horizon:
-        yield t
+def _decision_points(config: SimConfig, horizon: float) -> list[float]:
+    """The times that close a window: the first decision tick, each first
+    tick at least a cool-down after the one before, and the horizon."""
+    points: list[float] = []
+    k = 1
+    while (t := k * config.decision_interval) < horizon:
+        if not points or t - points[-1] >= config.cool_down - _EPS:
+            points.append(t)
         k += 1
-    yield horizon
+    points.append(horizon)
+    return points
 
 
 class Simulation:
@@ -520,11 +503,16 @@ class Simulation:
     ) -> SimulationResult:
         """Run ``policy`` over ``trace`` up to ``horizon``.
 
-        Each decision point past the cool-down, and the horizon, closes the
-        window opened by the pending adaptation: it is measured, the
-        adaptation's record is settled and, where a checkpoint was taken
-        (debts are recorded and a decision follows), handed to the policy
-        as its reward.
+        Each decision point and the horizon close the window opened by the
+        pending adaptation, which the cool-down spaces.  The window is
+        measured and, where a decision follows and debts are recorded, the
+        adaptation's record is handed to the policy as its reward.  A run
+        that records debts values each adaptation right after it decides:
+        it replays every candidate from a checkpoint, over a fixed window
+        past the adaptation for a learning policy (proactive) and up to the
+        next decision point otherwise.  The taken action's replay is the
+        run's own future, so from then on the run takes on the states that
+        replay kept instead of dispatching the arrivals again.
         """
         if self._ran:
             raise RuntimeError("a Simulation instance runs once; build a fresh one")
@@ -534,6 +522,8 @@ class Simulation:
         _check_trace(trace, horizon)
         cfg = self.config
         cluster = self.cluster
+        points = _decision_points(cfg, horizon)
+        learns = getattr(policy, "learns", False)
 
         windows: list[WindowMetrics] = []
         idx = 0
@@ -543,37 +533,19 @@ class Simulation:
         # its action (None when debts are not recorded)
         record: AdaptationRecord | None = None
         taken_at: Checkpoint | None = None
-        # a learning policy values a fixed window past each adaptation
-        # (proactive); otherwise the window is the span up to the next one
-        learns = getattr(policy, "learns", False)
-        self._window = cfg.decision_interval + cfg.billing_cycle if learns else None
+        # the run's states ahead of it that the taken replays kept, oldest
+        # first; the last is where the latest one stopped
+        future: list[tuple[float, Cluster, int]] = []
 
-        for k, t in enumerate(_decision_ticks(cfg.decision_interval, horizon), 1):
+        for i, t in enumerate(points):
             final = t == horizon
-            idx = cluster.advance(t, trace, idx)
-            # the cool-down runs from the pending adaptation
-            if not final and record is not None and t - win_start < cfg.cool_down - _EPS:
-                continue
+            idx = self._reach(t, trace, idx, future)
             # close the window [win_start, t]; the horizon closes the bill
             counts = cluster.counts(t, close=final) - snap
             obs = self._observe(t, win_start, marks)
             breakdown = counts.utility(cfg)
-            # the cluster before this decision point's action, which the
-            # pending adaptation's valuation forks as well; the horizon
-            # takes no action
-            checkpoint = None if final or not record_debt else Checkpoint(t, cluster, trace, idx)
-
-            if record is not None and taken_at is not None:
-                # no replay closes the bill, so the final window's measured
-                # utility is not comparable; a decision follows, and the
-                # window it opens closes at the first tick a cool-down later
-                close = None
-                if checkpoint is not None:
-                    ticks = _decision_ticks(cfg.decision_interval, horizon, k + 1)
-                    close = next(u for u in ticks if u == horizon or u - t >= cfg.cool_down - _EPS)
-                self._settle(record, taken_at, t, None if final else breakdown, checkpoint, close)
-                if checkpoint is not None:
-                    policy.observe_reward(record, obs)
+            if taken_at is not None and not final:
+                policy.observe_reward(record, obs)
             windows.append(self._window_metrics(win_start, t, breakdown, obs, record, taken_at))
             if final:
                 break
@@ -587,15 +559,19 @@ class Simulation:
             if action not in candidates:
                 raise ValueError(f"policy chose {action} outside its candidate set")
             record = AdaptationRecord(t, discretize_state(obs), action, candidates=candidates)
-            taken_at = checkpoint
+            taken_at = None
+            if record_debt:
+                taken_at = Checkpoint(t, cluster, trace, idx)
+                end = t + cfg.decision_interval + cfg.billing_cycle if learns else points[i + 1]
+                path: list[tuple[float, Cluster, int]] = []
+                taken_at.future = (action, points[i + 1 :], path)
+                taken_at.maintain = future[-1] if future else None
+                record.per_action_utilities = economics.counterfactual_ideal(taken_at, candidates, end)
+                # MAINTAIN carries on the states kept so far
+                future = (future[:-1] if action is Action.MAINTAIN else []) + path
             cluster.apply(action, t)
             win_start = t
             snap, marks = self._open_window(t)
-            if checkpoint is not None and checkpoint.ahead is not None:
-                # the kept fork serves this decision only
-                if action is Action.MAINTAIN:
-                    idx = self._adopt(*checkpoint.ahead)
-                checkpoint.ahead = None
 
         return SimulationResult(
             windows=windows,
@@ -613,56 +589,28 @@ class Simulation:
         cluster = self.cluster
         return cluster.counts(t), {vm.id: busy_time(vm, t) for vm in cluster.active.values()}
 
-    def _adopt(self, fork: Cluster, idx: int, gained: WindowCounts) -> int:
-        """Take on the state of ``fork``, which ran the run's own trajectory
-        to the next window close and gained ``gained`` since the checkpoint;
-        returns its arrival index.  Released VMs that the checkpoint's fork
-        left out stay the run's own: nothing changes them."""
+    def _reach(self, t: float, trace: WorkloadTrace, idx: int, future: list) -> int:
+        """Bring the run to ``t`` from arrival index ``idx``: take on the
+        latest of the states in ``future`` by ``t``, popping them, and
+        dispatch what is left up to ``t``; returns the arrival index."""
+        at = None
+        while future and future[0][0] <= t:
+            at, fork, idx = future.pop(0)
+        if at is not None:
+            self._adopt(fork)
+        if at != t:
+            idx = self.cluster.advance(t, trace, idx)
+        return idx
+
+    def _adopt(self, fork: Cluster) -> None:
+        """Take on the state of ``fork``, which ran the run's own trajectory:
+        its VMs, ``active`` and request counters.  A VM the fork left out
+        is released and done in the run's own copy: it was left out of a
+        fork of a state that the run took on before."""
         cluster = self.cluster
         cluster.vms = {i: fork.vms.get(i, vm) for i, vm in cluster.vms.items()}
         cluster.active = fork.active
-        cluster.submitted += gained.submitted
-        cluster.successes += gained.successes
-        cluster.failures += gained.failures
-        return idx
-
-    def _settle(
-        self,
-        record: AdaptationRecord,
-        taken_at: Checkpoint,
-        now: float,
-        measured: UtilityBreakdown | None,
-        checkpoint: Checkpoint | None,
-        close: float | None,
-    ) -> None:
-        """Value ``record``'s adaptation, taken at the checkpoint
-        ``taken_at``, when its window closes at ``now``.
-
-        ``measured`` is the primary run's window since the adaptation, when
-        that is comparable, and ``checkpoint`` the cluster where it closed.
-        The taken action is valued from ``measured`` when the valuation
-        window ends at ``now``, joined with a MAINTAIN fork of
-        ``checkpoint`` when it runs past, and replayed with the other
-        candidates when it ends before.  The join's fork keeps its state at
-        ``close``, the next window's close, as ``checkpoint.ahead``.
-        """
-        elapsed = now - record.time
-        # the window ``run`` fixed, or else the span since the adaptation
-        window = self._window or elapsed
-        end = record.time + window
-        known = None
-        if measured is not None and window >= elapsed:
-            counts = measured.counts
-            if window > elapsed:
-                # the primary run held the taken action up to the next
-                # checkpoint; MAINTAIN from there runs the rest of its
-                # window, carrying on the adaptation's own MAINTAIN fork
-                # when MAINTAIN was taken
-                if record.action_taken is Action.MAINTAIN:
-                    checkpoint.take_over(taken_at, counts)
-                counts += checkpoint.replay(Action.MAINTAIN, end, close).counts
-            known = {record.action_taken: counts.utility(self.config).utility}
-        record.per_action_utilities = economics.counterfactual_ideal(taken_at, record.candidates, end, known)
+        cluster.submitted, cluster.successes, cluster.failures = fork.submitted, fork.successes, fork.failures
 
     def _window_metrics(
         self,

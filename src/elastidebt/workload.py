@@ -24,6 +24,10 @@ from .policies import FIELD_TYPES, check_fields
 
 DEFAULT_WORK_MI = 2.0
 
+# how every config, profile, trace, qtable and summary file is decoded: as
+# UTF-8, where a leading byte-order mark is not part of the text
+READ_ENCODING = "utf-8-sig"
+
 # time step used to integrate rate curves and to skip through zero-rate spans
 _GRID_DT = 0.05
 _ZERO_RATE_SCAN = 1.0
@@ -461,7 +465,7 @@ def read_key_values(
     """
     seen: dict[Hashable, int] = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding=READ_ENCODING) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -229,8 +229,9 @@ def oracle_cycles(vm, t: float, cycle: float, close: bool = False) -> int:
 @contextlib.contextmanager
 def captured_checkpoints():
     """Yield a dict that maps each checkpoint time to an unreplayed copy of
-    the checkpoint built then; a direct replay of the copy shares nothing
-    with the forks the run made."""
+    the checkpoint built then, made before the run hands the checkpoint its
+    future and its MAINTAIN fork: a direct replay of the copy forks afresh,
+    and shares nothing with the forks the run made or takes on."""
     captured: dict[float, Checkpoint] = {}
     original = Checkpoint.__init__
 

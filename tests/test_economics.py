@@ -201,9 +201,8 @@ def test_debts_non_positive_and_zero_iff_action_maximal():
 
 def test_retrospective_u_actual_matches_measured_window(monkeypatch):
     # replaying the taken action must reproduce the live window exactly,
-    # which is why retrospective valuation takes u_actual from the measured
-    # window instead of replaying it (the final window is excluded: its
-    # billing true-up has no replay analogue)
+    # which is why a run may take its state on from that replay (the final
+    # window is excluded: its billing true-up has no replay analogue)
     checkpoints = {}
     original = Checkpoint.__init__
 
@@ -233,8 +232,8 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
         assert replayed.utility == win.breakdown.utility
         checked += 1
     assert checked >= 5
-    # only the final window replays the taken action as well
-    assert len(replays) == 3 * len(result.records) - checked
+    # every candidate is replayed once, the taken action included
+    assert len(replays) == 3 * len(result.records)
 
 
 @pytest.mark.parametrize(
@@ -243,26 +242,27 @@ def test_retrospective_u_actual_matches_measured_window(monkeypatch):
         {},
         {"sla_mode": "floor"},
         {"billing_anchor": "at_ready", "decision_interval": 45.0, "billing_cycle": 250.0},
-        {"cool_down": 400.0},  # every gap is at least the window: no joins
-        # windows join, but each paused fork ends before the next checkpoint
+        # every gap is longer than the window: no replay passes a checkpoint
+        {"cool_down": 400.0},
+        # each replay passes one checkpoint and stops before the next
         {"cool_down": 200.0},
     ],
 )
 def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
-    # the taken action's window is the primary run's span to the next
-    # checkpoint joined with a MAINTAIN fork from there, and MAINTAIN
-    # extends the fork the checkpoint already ran; when MAINTAIN was taken,
-    # the adaptation's own paused MAINTAIN fork is handed on to the next
-    # checkpoint and joined there; all must equal a direct replay from the
-    # adaptation's own checkpoint, bit for bit
+    # every candidate is replayed from the adaptation's checkpoint, and the
+    # taken action's replay is the run's future: it forks at each later
+    # decision point it passes, for the run to take on, and where it stops
+    # the next checkpoint's MAINTAIN replay goes on from it; all must equal
+    # a direct replay from the adaptation's own checkpoint, bit for bit
     cfg = SimConfig(**overrides)
     window = cfg.decision_interval + cfg.billing_cycle
+    horizon = 2400.0
     replays = []
     replay = Checkpoint.replay
 
-    def counting(self, action, end, *close):
+    def counting(self, action, end):
         replays.append(action)
-        return replay(self, action, end, *close)
+        return replay(self, action, end)
 
     forks = []
     cluster_init = Cluster.__init__
@@ -273,64 +273,45 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
 
     monkeypatch.setattr(Checkpoint, "replay", counting)
     monkeypatch.setattr(Cluster, "__init__", counting_forks)
-    trace = generate_trace(default_profile(), 2400.0, seed=31)
+    trace = generate_trace(default_profile(), horizon, seed=31)
     with captured_checkpoints() as checkpoints:
-        result = Simulation(cfg).run(trace, DebtAwarePolicy(seed=4), 2400.0)
+        result = Simulation(cfg).run(trace, DebtAwarePolicy(seed=4), horizon)
     monkeypatch.undo()
     records = result.records
     assert len(records) >= 5
 
-    joined = [
-        i for i in range(len(records) - 1) if records[i].time + window > records[i + 1].time
-    ]
-    # a record replays MAINTAIN when it is a candidate that was not taken,
-    # or in any window not joined; it resumes the fork the join before ran
+    # a MAINTAIN replay goes on from the previous taken replay when that
+    # stopped past its checkpoint
     resumed = [
-        i + 1
-        for i in joined
-        if Action.MAINTAIN in records[i + 1].per_action_utilities
-        and (records[i + 1].action_taken is not Action.MAINTAIN or i + 1 not in joined)
-    ]
-    # a join after MAINTAIN was taken resumes the fork the join before ran
-    # on the adaptation's checkpoint, when that fork reached the next one
-    handed = [
         i
-        for i in joined
-        if i - 1 in joined
-        and records[i].action_taken is Action.MAINTAIN
-        and records[i - 1].time + window >= records[i + 1].time
+        for i in range(1, len(records))
+        if Action.MAINTAIN in records[i].per_action_utilities
+        and records[i - 1].time + window > records[i].time
     ]
+    # the taken replay forks at each later decision point, the horizon
+    # included, from where it starts to before its end
+    points = [rec.time for rec in records] + [horizon]
+    kept = []
+    for i, rec in enumerate(records):
+        carried = i in resumed and rec.action_taken is Action.MAINTAIN
+        start = records[i - 1].time + window if carried else rec.time
+        kept += [t for t in points[i + 1 :] if start <= t < rec.time + window]
+    carried = [i for i in resumed if records[i].action_taken is Action.MAINTAIN]
     if overrides.get("cool_down") == 400.0:
-        assert joined == []
+        # every replay stops before the next checkpoint; only the last
+        # passes the horizon
+        assert resumed == [] and kept == [horizon]
     else:
-        assert len(joined) == len(records) - 1 and resumed
-    if "cool_down" in overrides:
-        assert handed == []
-    else:
-        assert handed
-    # one replay per candidate: the taken action's is the MAINTAIN fork of
-    # the next checkpoint, except in the final window
+        # MAINTAIN goes on from the run's future both when it was taken
+        # and when it was not
+        assert carried and set(resumed) - set(carried)
+        assert len(kept) >= len(records)
+    # one replay per candidate, the taken action included
     assert len(replays) == sum(len(rec.per_action_utilities) for rec in records)
-    # a join's MAINTAIN fork that starts, or resumes, by the run's next
-    # window close and runs through it is kept there for the run to adopt,
-    # and goes on as a fork of itself
-    closes = [rec.time for rec in records[2:]] + [2400.0]
-    ahead = [
-        i
-        for i in joined
-        if (records[i - 1].time + window if i in handed else records[i + 1].time)
-        <= closes[i]
-        <= records[i].time + window
-    ]
-    if "cool_down" in overrides:
-        assert ahead == []
-    else:
-        # both fresh and handed-on forks are kept
-        assert set(ahead) & set(handed) and set(ahead) - set(handed)
     # the primary run builds one cluster and each checkpoint forks one;
-    # each replay forks one more, except a resumed or handed-on MAINTAIN
-    # fork, and each kept fork one more
-    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed) - len(handed) + len(ahead)
+    # each replay forks one more, except a MAINTAIN replay that goes on,
+    # and the taken replay one more at each point it passes
+    assert len(forks) == 1 + len(checkpoints) + len(replays) - len(resumed) + len(kept)
 
     for rec in records:
         per_action = rec.per_action_utilities
@@ -341,8 +322,8 @@ def test_proactive_u_actual_matches_direct_replay(monkeypatch, overrides):
 
 def test_run_checkpoints_replay_as_direct_replays(monkeypatch):
     # after a run, replaying every candidate on the checkpoints the run
-    # itself built gives the direct replays: a paused fork handed on to the
-    # next checkpoint is no longer reachable from the one it left
+    # itself built gives the direct replays: a fork that went on as the
+    # run's future is no longer reachable from the checkpoint it left
     cfg = SimConfig()
     window = cfg.decision_interval + cfg.billing_cycle
     live = {}

@@ -841,6 +841,35 @@ def test_load_summary_ignores_trailing_blank_lines(tmp_path):
     assert load_summary(str(bad)) == totals_stub(2.0)
 
 
+def test_load_summary_skips_a_byte_order_mark(tmp_path):
+    _, bad, header, row = emitted_summaries(tmp_path)
+    (bad / "summary.csv").write_text(f"\ufeff{header}\n{row}\n", encoding="utf-8")
+    assert load_summary(str(bad)) == totals_stub(2.0)
+
+
+def test_load_qtable_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "qtable.csv"
+    text = "queued_level,billing_idle_level,action,q,visits\nlow,low,launch,-0.5,2\n"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert load_qtable(str(path)).rows() == [("low", "low", "launch", -0.5, 2)]
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    # at the parent a marked first key read as unknown key '\ufeffprofile'
+    plain = write_cli_config(tmp_path)
+    marked = tmp_path / "marked.cfg"
+    marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_config(str(marked)) == load_config(str(plain))
+
+
+def test_trace_file_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "marked.trace"
+    path.write_text("\ufeff1.0 2.0\n3.5 4.0\n", encoding="utf-8")
+    cfg = quick_config(horizon=60.0)
+    cfg.trace_path = str(path)
+    assert build_workload(cfg) == make_trace([(1.0, 2.0), (3.5, 4.0)])
+
+
 def test_load_summary_ignores_a_blank_line_before_its_row(tmp_path):
     _, bad, header, row = emitted_summaries(tmp_path)
     (bad / "summary.csv").write_text(f"{header}\n\n{row}\n\n")

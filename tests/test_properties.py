@@ -128,9 +128,8 @@ def test_replay_matches_brute_force_oracle(conserving, scenario):
     ),
 )
 def test_maintain_replay_ignores_earlier_calls(scenario, calls):
-    # the paused MAINTAIN fork is resumed only for a window reaching at
-    # least as far; longer, shorter and equal windows in any order each
-    # give what a fresh checkpoint gives
+    # longer, shorter and equal windows in any order each give what a
+    # fresh checkpoint gives
     cfg, vm_specs, _, arrivals = scenario
     checkpoint = build_checkpoint(cfg, vm_specs, arrivals, T0)
     for action, before, after in calls + [(Action.MAINTAIN, 0, 0)] + calls[::-1]:
@@ -350,8 +349,9 @@ def test_full_run_invariants(run):
         assert rec.debt <= 0.0
         best = max(rec.per_action_utilities.values())
         assert (rec.debt == 0.0) == (rec.per_action_utilities[rec.action_taken] == best)
-    # every value, whether measured, joined or replayed on a resumed fork,
-    # equals a direct replay over the record's window, bit for bit
+    # every value, whether replayed from a fresh fork or going on from the
+    # run's future, equals a direct replay over the record's window, bit
+    # for bit
     proactive = isinstance(policy, DebtAwarePolicy)
     for win in windows:
         rec = win.record
@@ -483,7 +483,11 @@ def test_utilization_is_busy_overlap_with_window(run):
         return obs
 
     sim._observe = checked
-    result = sim.run(make_trace(arrivals), policy, horizon)
+    # the log holds what the run dispatches itself: without debts, every
+    # arrival; the observations are the same with debts (see
+    # test_maintaining_run_adopts_its_fork_with_the_same_outcome)
+    result = sim.run(make_trace(arrivals), policy, horizon, record_debt=False)
+    assert len(jobs) == len(arrivals)
     assert observed == [w.end for w in result.windows]
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from bisect import bisect_right
 
 import pytest
 
@@ -512,7 +513,10 @@ def test_billed_cycles_cover_busy_span():
         return observe(now, win_start, marks)
 
     sim._observe = checked
-    result = sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon)
+    # the log holds what the run dispatches itself: without debts, every
+    # arrival, where a run with debts takes its spans on from replays
+    result = sim.run(trace, FixedPolicy(Action.MAINTAIN), horizon, record_debt=False)
+    assert len(jobs) == len(trace)
     assert interior == [60.0 + 120.0 * k for k in range(12)]
     vms = {vm.id: vm for vm in sim.cluster.vms.values()}
     assert len({vm_id for vm_id, *_ in jobs}) == len(vms) == cfg.initial_vms
@@ -586,12 +590,12 @@ class MaintainRuns(FixedPolicy):
     ],
 )
 def test_maintaining_run_adopts_its_fork_with_the_same_outcome(overrides):
-    # a run that maintains after a join takes on the state its valuation's
-    # MAINTAIN fork reached at the next window close instead of dispatching
-    # that span; it must measure what the run that records no debts, and so
-    # has no fork ahead, measures itself.  The horizon is no decision tick:
-    # it falls after a cool-down tick past the 15th and last decision, a
-    # MAINTAIN after a RELEASE, whose fresh fork is adopted up to the horizon
+    # a run that records debts takes on, at each decision point and at the
+    # horizon, the state its taken action's replay kept there instead of
+    # dispatching that span; it must measure what the run that records no
+    # debts, and so has no replay ahead, measures itself.  The horizon is no
+    # decision tick: it falls after a cool-down tick past the 15th and last
+    # decision, a MAINTAIN after a RELEASE, whose replay runs past it
     from elastidebt.workload import default_profile, generate_trace
 
     cfg = SimConfig(**overrides)
@@ -627,13 +631,59 @@ def test_maintaining_run_adopts_its_fork_with_the_same_outcome(overrides):
     assert recorded.records[-1].time == last
     assert recorded.records[-1].action_taken is Action.MAINTAIN
     assert all(rec.per_action_utilities for rec in recorded.records)
-    # only the run without debts dispatches every arrival itself; the one
-    # with debts dispatched nothing after its last decision
+    # the run without debts dispatches every arrival itself, once per
+    # window; the one with debts only those up to its first decision: each
+    # replay of a taken action runs past the next decision point
+    closes = [rec.time for rec in recorded.records] + [horizon]
+    upto = [bisect_right(trace.arrivals, t) for t in closes]
+    assert direct == list(zip(closes, (b - a for a, b in zip([0] + upto, upto))))
     assert sum(n for _, n in direct) == len(trace)
-    assert sum(n for _, n in dispatched) < len(trace)
+    assert dispatched == [(interval, bisect_right(trace.arrivals, interval))]
     assert trace.arrivals[-1] > last
-    after = [until for until, _ in direct if until > last]
-    assert [until for until, n in dispatched if until > last and n == 0] == after
+
+
+class MaintainOnly(FixedPolicy):
+    """Learns, and offers MAINTAIN alone."""
+
+    learns = True
+
+    def candidates(self, obs):
+        return (Action.MAINTAIN,)
+
+
+@pytest.mark.parametrize(
+    "overrides, horizon",
+    [
+        ({}, 1800.0),
+        ({}, 1830.0),
+        ({"cool_down": 60.0}, 1800.0),
+        # each replay stops before the next decision point
+        ({"cool_down": 400.0}, 1800.0),
+        ({"decision_interval": 45.0, "billing_cycle": 250.0}, 1800.0),
+    ],
+    ids=["default", "horizon-1830", "cool-down-60", "cool-down-400", "interval-45-cycle-250"],
+)
+def test_a_maintaining_run_dispatches_each_arrival_once(monkeypatch, overrides, horizon):
+    # the taken action's replay is the run's future, and each replay of
+    # MAINTAIN goes on from where the one before stopped: the run and its
+    # replays together dispatch every arrival exactly once
+    from elastidebt.workload import default_profile, generate_trace
+
+    trace = generate_trace(default_profile(), horizon, seed=12)
+    dispatched = []
+    advance = Cluster.advance
+
+    def counting(self, until, trace, idx):
+        end = advance(self, until, trace, idx)
+        dispatched.append(end - idx)
+        return end
+
+    monkeypatch.setattr(Cluster, "advance", counting)
+    result = Simulation(SimConfig(**overrides)).run(trace, MaintainOnly(), horizon)
+    assert len(result.records) >= 4
+    assert all(list(rec.per_action_utilities) == [Action.MAINTAIN] for rec in result.records)
+    assert result.counts.submitted == len(trace)
+    assert sum(dispatched) == len(trace)
 
 
 class RewardLog(FixedPolicy):

@@ -763,6 +763,16 @@ def test_load_profile_rejects_a_field_spelled_twice(tmp_path, index):
     assert str(info.value) == f"{path}:5: 'segment.{index}.base_rate' repeats line 3"
 
 
+def test_load_profile_skips_a_byte_order_mark(tmp_path):
+    # a leading UTF-8 byte-order mark is not part of the first key
+    text = "arrival_mode = poisson\nsegment.0.start = 0\nsegment.0.end = 600\nsegment.0.base_rate = 8\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_profile(str(marked)) == load_profile(str(plain))
+
+
 def test_load_profile_wraps_unreadable_file(tmp_path):
     path = tmp_path / "missing.cfg"
     with pytest.raises(ProfileError, match=re.escape(f"cannot read profile {path}: ")):
